@@ -9,7 +9,7 @@ RACE_PKGS ?= ./internal/sim/ ./internal/analysis/ ./internal/routing/ ./internal
 # Per-target budget for the fuzz smoke pass (`go test -fuzz` accepts one
 # target per invocation). Entries are package:target.
 FUZZTIME ?= 30s
-FUZZ_TARGETS := ./internal/routing/:FuzzEdgeColorBipartite ./internal/routing/:FuzzBenesLooping ./internal/routing/:FuzzRouteTableParity ./internal/permutation/:FuzzCanonicalParity
+FUZZ_TARGETS := ./internal/routing/:FuzzEdgeColorBipartite ./internal/routing/:FuzzBenesLooping ./internal/routing/:FuzzRouteTableParity ./internal/routing/:FuzzFaultLinkParity ./internal/permutation/:FuzzCanonicalParity
 
 .PHONY: all build test race cover bench bench-json bench-gate fuzz-smoke batch-smoke coordinator-smoke frontier-smoke design-smoke fault-smoke report tables examples clean
 
@@ -60,7 +60,7 @@ design-smoke:
 # against the committed golden curves — sequentially, on a worker pool,
 # and through a live nbserve.
 fault-smoke:
-	$(GO) test ./internal/campaign/ -count=1 -run 'TestRunParallelMatchesSequential|TestNoRouterEmitsFailedPath'
+	$(GO) test ./internal/campaign/ -count=1 -run 'TestRunParallelMatchesSequential|TestNoRouterEmitsFailedPath|TestAnalyzePatternParity'
 	$(GO) test ./internal/server/ -count=1 -run 'TestFailures'
 	GO="$(GO)" ./scripts/fault_smoke.sh
 

@@ -21,7 +21,10 @@ import (
 // worker its own. Results exposed by the accessors (ContendedLinks,
 // PairsOn, LoadedLinks) alias internal scratch and are valid only until
 // the next Analyze/AnalyzePattern call; Report materializes an independent
-// map-based Report for callers that need to retain the analysis.
+// map-based Report for callers that need to retain the analysis. When
+// AnalyzePattern returns a routing error the Checker holds an empty
+// analysis — Pairs() == 0, MaxLoad() == 0, no loaded or contended links —
+// never a partial pattern or the previous pattern's results.
 type Checker struct {
 	// a is the last analyzed assignment (nil after AnalyzePattern's
 	// assignment-free fast path).
@@ -43,6 +46,11 @@ type Checker struct {
 	pairs     int
 	// linkBuf is scratch for PairLinkAppender routers.
 	linkBuf []topology.LinkID
+	// pattern is the plan and link scratch of PatternLinkAppender
+	// routers; it lives here so the routers stay safe for concurrent use.
+	// It is allocated on first use: handing it to the router by pointer
+	// must not move Checkers that never route whole patterns to the heap.
+	pattern *routing.PatternLinks
 }
 
 // NewChecker returns a Checker with scratch sized for net. A nil net is
@@ -128,34 +136,47 @@ func (c *Checker) Analyze(a *routing.Assignment) {
 	c.a = a
 }
 
-// AnalyzePattern routes pattern p with r and analyzes its contention. When
-// the router implements routing.PairLinkAppender the pattern is analyzed
-// without materializing an Assignment — the sweep hot path — and the
-// resulting loads are identical to Analyze(r.Route(p)): pairs are indexed
-// in ascending source order, matching Assignment.Pairs. Routing errors are
-// returned wrapped exactly as Route wraps them.
+// AnalyzePattern routes pattern p with r and analyzes its contention. The
+// loads, pair indices and errors are identical to Analyze(r.Route(p)), but
+// the sweep hot path skips the Assignment: routers implementing
+// routing.PairLinkAppender (the single-path and multipath ftree routers,
+// local rerouting, the spared Theorem-3 scheme) stream each pair's links,
+// and routers implementing routing.PatternLinkAppender (NONBLOCKINGADAPTIVE
+// and its fault-avoiding form) plan the whole pattern in the Checker's own
+// scratch. Pairs are indexed in ascending source order, matching
+// Assignment.Pairs. On a routing error the analysis is left empty.
 func (c *Checker) AnalyzePattern(r routing.Router, p *permutation.Permutation) error {
-	la, ok := r.(routing.PairLinkAppender)
-	if !ok {
-		a, err := r.Route(p)
-		if err != nil {
-			return err
-		}
-		c.Analyze(a)
-		return nil
-	}
 	c.begin(0)
-	buf := c.linkBuf
-	i := 0
 	var err error
+	switch rr := r.(type) {
+	case routing.PairLinkAppender:
+		err = c.analyzePairs(rr, p)
+	case routing.PatternLinkAppender:
+		err = c.analyzePatternLinks(rr, p)
+	default:
+		var a *routing.Assignment
+		if a, err = r.Route(p); err == nil {
+			c.Analyze(a)
+		}
+	}
+	if err != nil {
+		c.begin(0)
+	}
+	return err
+}
+
+// analyzePairs accounts a pattern pair by pair through a PairLinkAppender,
+// wrapping errors exactly as Route wraps them.
+func (c *Checker) analyzePairs(la routing.PairLinkAppender, p *permutation.Permutation) error {
+	i := 0
 	for s, n := 0, p.N(); s < n; s++ {
 		d := p.Dst(s)
 		if d == permutation.Unused {
 			continue
 		}
-		buf, err = la.AppendPairLinks(s, d, buf[:0])
+		buf, err := la.AppendPairLinks(s, d, c.linkBuf[:0])
+		c.linkBuf = buf
 		if err != nil {
-			c.linkBuf = buf
 			return fmt.Errorf("routing pair %d->%d: %w", s, d, err)
 		}
 		c.pairEpoch++
@@ -164,8 +185,27 @@ func (c *Checker) AnalyzePattern(r routing.Router, p *permutation.Permutation) e
 		}
 		i++
 	}
-	c.linkBuf = buf
 	c.finish(i)
+	return nil
+}
+
+// analyzePatternLinks accounts a pattern routed whole by a
+// PatternLinkAppender into the Checker's plan scratch.
+func (c *Checker) analyzePatternLinks(pa routing.PatternLinkAppender, p *permutation.Permutation) error {
+	if c.pattern == nil {
+		c.pattern = new(routing.PatternLinks)
+	}
+	if err := pa.AppendPatternLinks(p, c.pattern); err != nil {
+		return err
+	}
+	n := c.pattern.Pairs()
+	for i := 0; i < n; i++ {
+		c.pairEpoch++
+		for _, l := range c.pattern.PairLinks(i) {
+			c.addLink(i, l)
+		}
+	}
+	c.finish(n)
 	return nil
 }
 

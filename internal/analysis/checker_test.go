@@ -245,3 +245,103 @@ func TestAnalyzePatternFastPathMatchesRoute(t *testing.T) {
 		t.Fatalf("fast-path error %q differs from Route error %q", errFast, errRoute)
 	}
 }
+
+// TestAnalyzePatternZeroAllocs pins the assignment-free paths: after one
+// warm-up call per pattern, analyzing a pattern with the adaptive, the
+// fault-avoiding adaptive, the local-reroute and the spared Theorem-3
+// routers allocates nothing.
+func TestAnalyzePatternZeroAllocs(t *testing.T) {
+	f := topology.NewFoldedClos(2, 8, 4)
+	view, err := topology.FailureSet{Tops: []int{1}, Trunks: []topology.Trunk{{Bottom: 2, Top: 5}}}.View(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	adaptive, err := routing.NewNonblockingAdaptive(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	avoiding, err := routing.NewAvoidingAdaptive(f, view)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spared, err := routing.NewSparedDeterministicView(f, view)
+	if err != nil {
+		t.Fatal(err)
+	}
+	routers := []routing.Router{adaptive, avoiding, routing.NewLocalReroute(f, view, 3), spared}
+	rng := rand.New(rand.NewSource(5))
+	patterns := []*permutation.Permutation{
+		permutation.Random(rng, f.Ports()),
+		permutation.RandomPartial(rng, f.Ports(), 0.6),
+		permutation.SwitchShift(2, 4, 1),
+	}
+	c := NewChecker(nil)
+	for _, r := range routers {
+		for i, p := range patterns {
+			if err := c.AnalyzePattern(r, p); err != nil {
+				t.Fatalf("%s pattern %d: %v", r.Name(), i, err)
+			}
+			if allocs := testing.AllocsPerRun(20, func() { _ = c.AnalyzePattern(r, p) }); allocs != 0 {
+				t.Errorf("%s pattern %d: %v allocs per AnalyzePattern, want 0", r.Name(), i, allocs)
+			}
+		}
+	}
+}
+
+// TestAnalyzePatternErrorLeavesCheckerEmpty covers each AnalyzePattern
+// path — pair-level links, pattern-level links and the Route fallback —
+// failing after a contended pattern: the Checker must hold an empty
+// analysis, not the previous pattern's loads or a half-accounted one.
+func TestAnalyzePatternErrorLeavesCheckerEmpty(t *testing.T) {
+	f := topology.NewFoldedClos(2, 2, 3)
+	contended := routing.NewDestMod(f)
+	// Hosts 0 and 1 both send to even destinations: dest-mod puts both on
+	// top switch 0, sharing bottom switch 0's uplink.
+	blocking, err := permutation.FromDsts([]int{2, 4, 0, 1, 3, 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Pair-level: source 4's pair fails after sources 0–3 loaded their
+	// links.
+	pairBad := &routing.FtreeSinglePath{F: f, RouterName: "late-bad", TopChoice: func(s, d int) int {
+		if s == 4 {
+			return 99
+		}
+		return 0
+	}}
+	// Pattern-level: m = 2 is below one adaptive configuration of
+	// (c+1)·n = 6 top switches.
+	adaptive, err := routing.NewNonblockingAdaptive(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		path string
+		r    routing.Router
+	}{
+		{"pair links", pairBad},
+		{"pattern links", adaptive},
+		{"route", routing.NewGreedyLocal(topology.NewFoldedClos(2, 2, 2))}, // wrong host count
+	}
+	c := NewChecker(nil)
+	for _, tc := range cases {
+		if err := c.AnalyzePattern(contended, blocking); err != nil {
+			t.Fatal(err)
+		}
+		if !c.HasContention() {
+			t.Fatal("fixture pattern must contend under dest-mod")
+		}
+		if err := c.AnalyzePattern(tc.r, blocking); err == nil {
+			t.Fatalf("%s: expected a routing error", tc.path)
+		}
+		if c.Pairs() != 0 || c.MaxLoad() != 0 || len(c.LoadedLinks()) != 0 || c.HasContention() {
+			t.Fatalf("%s: after a routing error Pairs=%d MaxLoad=%d loaded=%v contended=%v, want an empty analysis",
+				tc.path, c.Pairs(), c.MaxLoad(), c.LoadedLinks(), c.ContendedLinks())
+		}
+		for l := topology.LinkID(0); int(l) < f.Net.NumLinks(); l++ {
+			if len(c.PairsOn(l)) != 0 {
+				t.Fatalf("%s: link %d still carries pairs %v", tc.path, l, c.PairsOn(l))
+			}
+		}
+	}
+}

@@ -211,11 +211,12 @@ func Run(ctx context.Context, cfg Config) (*api.FailuresReport, error) {
 	}
 	cells := make([]cellResult, len(ids))
 	if cfg.Workers <= 1 {
+		sc := newCellScratch(f)
 		for i, id := range ids {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
-			cells[i] = runCell(f, cfg, id)
+			cells[i] = runCell(f, cfg, id, sc)
 		}
 	} else {
 		workers := cfg.Workers
@@ -228,8 +229,9 @@ func Run(ctx context.Context, cfg Config) (*api.FailuresReport, error) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
+				sc := newCellScratch(f)
 				for i := range idx {
-					cells[i] = runCell(f, cfg, ids[i])
+					cells[i] = runCell(f, cfg, ids[i], sc)
 				}
 			}()
 		}
@@ -250,10 +252,29 @@ func Run(ctx context.Context, cfg Config) (*api.FailuresReport, error) {
 	return reduce(f, cfg, samplesFor, cells), nil
 }
 
+// cellScratch is the state one worker reuses across the cells it runs:
+// the Checker, one RNG reseeded per stream, and the pattern every trial
+// refills. Reseeding resets math/rand's full state, so each stream draws
+// exactly what a freshly seeded generator would.
+type cellScratch struct {
+	chk *analysis.Checker
+	rng *rand.Rand
+	p   *permutation.Permutation
+	ps  permutation.PatternScratch
+}
+
+func newCellScratch(f *topology.FoldedClos) *cellScratch {
+	return &cellScratch{
+		chk: analysis.NewChecker(f.Net),
+		rng: rand.New(rand.NewSource(0)),
+		p:   permutation.New(f.Ports()),
+	}
+}
+
 // runCell measures one scheme against one sampled failure set. The
 // failure set and test patterns are seeded by (k, sample) only, so every
 // scheme of the campaign faces identical damage and identical traffic.
-func runCell(f *topology.FoldedClos, cfg Config, id cellID) cellResult {
+func runCell(f *topology.FoldedClos, cfg Config, id cellID, sc *cellScratch) cellResult {
 	var res cellResult
 	lost := func() cellResult {
 		// A scheme that cannot instantiate loses every pattern.
@@ -262,7 +283,8 @@ func runCell(f *topology.FoldedClos, cfg Config, id cellID) cellResult {
 		res.routeFailures = cfg.Trials
 		return res
 	}
-	rng := rand.New(rand.NewSource(mix(cfg.Seed, 1, uint64(id.k), uint64(id.sample))))
+	rng := sc.rng
+	rng.Seed(mix(cfg.Seed, 1, uint64(id.k), uint64(id.sample)))
 	fs, err := SampleFailures(f, cfg.Scenario, id.k, rng)
 	if err != nil {
 		return lost()
@@ -279,10 +301,10 @@ func runCell(f *topology.FoldedClos, cfg Config, id cellID) cellResult {
 	if len(alive) < 2 {
 		return res // nothing left to communicate
 	}
-	chk := analysis.NewChecker(f.Net)
-	prng := rand.New(rand.NewSource(mix(cfg.Seed, 2, uint64(id.k), uint64(id.sample))))
+	chk, p := sc.chk, sc.p
+	rng.Seed(mix(cfg.Seed, 2, uint64(id.k), uint64(id.sample)))
 	for trial := 0; trial < cfg.Trials; trial++ {
-		p := randomAlivePerm(f.Ports(), alive, prng)
+		permutation.RandomAmongInto(rng, p, alive, &sc.ps)
 		res.patterns++
 		if err := chk.AnalyzePattern(r, p); err != nil {
 			res.routeFailures++
@@ -299,24 +321,14 @@ func runCell(f *topology.FoldedClos, cfg Config, id cellID) cellResult {
 		}
 	}
 	if cfg.Sim && res.routed > 0 {
-		srng := rand.New(rand.NewSource(mix(cfg.Seed, 3, uint64(id.k), uint64(id.sample))))
-		p := randomAlivePerm(f.Ports(), alive, srng)
+		rng.Seed(mix(cfg.Seed, 3, uint64(id.k), uint64(id.sample)))
+		permutation.RandomAmongInto(rng, p, alive, &sc.ps)
 		if acc, ok := simAccepted(f, r, p, cfg, mix(cfg.Seed, 4, uint64(id.k), uint64(id.sample))); ok {
 			res.simRan = true
 			res.acceptedLoad = acc
 		}
 	}
 	return res
-}
-
-// randomAlivePerm draws a uniform permutation of the surviving hosts,
-// embedded in the full host space as a partial permutation.
-func randomAlivePerm(ports int, alive []int, rng *rand.Rand) *permutation.Permutation {
-	p := permutation.New(ports)
-	for i, j := range rng.Perm(len(alive)) {
-		_ = p.Add(alive[i], alive[j]) // distinct srcs/dsts by construction
-	}
-	return p
 }
 
 // simAccepted runs one open-loop simulation at offered load 1.0 over a

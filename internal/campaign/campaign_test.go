@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/permutation"
 	"repro/internal/topology"
 )
 
@@ -105,7 +106,8 @@ func TestNoRouterEmitsFailedPath(t *testing.T) {
 			if len(alive) < 2 {
 				continue
 			}
-			p := randomAlivePerm(f.Ports(), alive, rng)
+			p := permutation.New(f.Ports())
+			permutation.RandomAmongInto(rng, p, alive, &permutation.PatternScratch{})
 			for _, scheme := range DefaultSchemes() {
 				r, err := BuildRouter(f, scheme, view, 5)
 				if err != nil {
@@ -171,5 +173,44 @@ func TestConfigValidation(t *testing.T) {
 		if _, err := Run(context.Background(), cfg); err == nil {
 			t.Errorf("config %d should be rejected", i)
 		}
+	}
+}
+
+// A campaign's allocation count is a per-cell constant: every trial
+// refills the worker's pattern in place and analyzes it in the worker's
+// reused Checker, so adding trials adds no allocations. The cells run on
+// one warmed worker scratch, as a pool worker runs them; a fresh Checker
+// still grows its per-link lists while it meets new links and loads.
+func TestRunCellSteadyStateAllocs(t *testing.T) {
+	// m = 12 leaves the avoiding adaptive router a full configuration of
+	// (c+1)·n = 6 intact tops at k = 2, so no pattern fails to route:
+	// routing errors allocate their messages.
+	base := Config{N: 2, M: 12, R: 4, Scenario: ScenarioTops, MaxFailures: 2, Samples: 2, Seed: 3}.withDefaults()
+	f := topology.NewFoldedClos(base.N, base.M, base.R)
+	sc := newCellScratch(f)
+	blocked := 0
+	runAll := func(trials int) {
+		cfg := base
+		cfg.Trials = trials
+		for si := range cfg.Schemes {
+			for k := 0; k <= cfg.MaxFailures; k++ {
+				for s := 0; s < cfg.Samples; s++ {
+					res := runCell(f, cfg, cellID{si, k, s}, sc)
+					if res.routeFailures != 0 {
+						t.Fatalf("%s k=%d sample %d: %d route failures", cfg.Schemes[si], k, s, res.routeFailures)
+					}
+					blocked += res.blocked
+				}
+			}
+		}
+	}
+	runAll(80) // warm the worker scratch
+	if blocked == 0 {
+		t.Fatal("no cell saw contention; the fixture must exercise loaded links")
+	}
+	small := testing.AllocsPerRun(5, func() { runAll(10) })
+	large := testing.AllocsPerRun(5, func() { runAll(80) })
+	if large != small {
+		t.Fatalf("campaign cell allocations depend on trials: %v allocs at 10 trials, %v at 80", small, large)
 	}
 }

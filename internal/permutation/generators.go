@@ -99,6 +99,21 @@ func RandomPartialInto(rng *rand.Rand, p *Permutation, density float64, sc *Patt
 	}
 }
 
+// RandomAmongInto refills p in place with a uniformly random permutation
+// of the endpoints in hosts: host hosts[i] sends to hosts[π(i)] for π drawn
+// exactly as rng.Perm(len(hosts)) draws it, and every other endpoint is
+// unused. hosts must be distinct endpoints of p. No allocation once sc's
+// buffers have grown to len(hosts).
+func RandomAmongInto(rng *rand.Rand, p *Permutation, hosts []int, sc *PatternScratch) {
+	sc.order = permInto(rng, sc.order, len(hosts))
+	for i := range p.dst {
+		p.dst[i] = Unused
+	}
+	for i, j := range sc.order {
+		p.dst[hosts[i]] = hosts[j]
+	}
+}
+
 // Shift returns the cyclic shift i→(i+k) mod n. Shift(n, 0) is the
 // identity; with k a multiple of the per-switch host count it produces the
 // switch-level shift patterns used in the bisection experiments.

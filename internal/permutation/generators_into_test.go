@@ -85,3 +85,36 @@ func TestRandomIntoAllocationFree(t *testing.T) {
 		t.Fatalf("RandomPartialInto allocates %v per run", avg)
 	}
 }
+
+// TestRandomAmongIntoMatchesOriginal replays the allocating
+// surviving-host construction (one rand.Perm over the host list, each
+// host sending to the host at the drawn position) and checks the in-place
+// variant reproduces the pattern and the rng state.
+func TestRandomAmongIntoMatchesOriginal(t *testing.T) {
+	rngA := rand.New(rand.NewSource(11))
+	rngB := rand.New(rand.NewSource(11))
+	const n = 12
+	p := New(n)
+	var sc PatternScratch
+	for trial := 0; trial < 40; trial++ {
+		var hosts []int
+		for h := 0; h < n; h++ {
+			if (h+trial)%3 != 0 {
+				hosts = append(hosts, h)
+			}
+		}
+		want := New(n)
+		for i, j := range rngA.Perm(len(hosts)) {
+			if err := want.Add(hosts[i], hosts[j]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		RandomAmongInto(rngB, p, hosts, &sc)
+		if !p.Equal(want) {
+			t.Fatalf("trial %d: RandomAmongInto = %v, want %v", trial, p, want)
+		}
+	}
+	if a, b := rngA.Int63(), rngB.Int63(); a != b {
+		t.Fatalf("rng streams diverged after RandomAmongInto (%d vs %d)", a, b)
+	}
+}

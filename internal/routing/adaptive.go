@@ -95,47 +95,70 @@ func (r *NonblockingAdaptive) topIndex(conf, q, key int) int {
 // the physical m, so experiments can measure how many top switches any
 // permutation needs; Route enforces m.
 func (r *NonblockingAdaptive) Plan(p *permutation.Permutation) (tops []int, pairs []permutation.Pair, confs int, err error) {
-	if p.N() != r.F.Ports() {
-		return nil, nil, 0, fmt.Errorf("routing: pattern over %d endpoints, network has %d", p.N(), r.F.Ports())
+	var s PatternLinks
+	confs, err = r.plan(p, &s)
+	if err != nil {
+		return nil, nil, 0, err
 	}
-	pairs = p.Pairs()
-	tops = make([]int, len(pairs))
-	n := r.F.N
+	return s.tops, s.pairs, confs, nil
+}
 
-	// Group cross-switch pairs by source switch (line 1).
-	bySrc := make(map[int][]int) // source switch -> indices into pairs
-	for i, pr := range pairs {
-		tops[i] = -1
-		if pr.Src != pr.Dst && pr.Src/n != pr.Dst/n {
-			v := pr.Src / n
-			bySrc[v] = append(bySrc[v], i)
+// plan is the Fig. 4 scheduling body behind Plan, Route, RouteAvoiding and
+// AppendPatternLinks. It fills s.pairs with p's SD pairs in ascending
+// source order and s.tops with each pair's logical top slot (−1 until the
+// pair is routed, and for pairs that bypass the top level), and returns
+// the configurations consumed. Every buffer comes from s, so planning is
+// allocation-free once s has warmed up.
+func (r *NonblockingAdaptive) plan(p *permutation.Permutation, s *PatternLinks) (int, error) {
+	if p.N() != r.F.Ports() {
+		return 0, fmt.Errorf("routing: pattern over %d endpoints, network has %d", p.N(), r.F.Ports())
+	}
+	n := r.F.N
+	s.pairs, s.tops = s.pairs[:0], s.tops[:0]
+	for src := 0; src < p.N(); src++ {
+		if d := p.Dst(src); d != permutation.Unused {
+			s.pairs = append(s.pairs, permutation.Pair{Src: src, Dst: d})
+			s.tops = append(s.tops, -1)
 		}
 	}
-
+	if cap(s.usedPart) < r.C+1 {
+		s.usedPart = make([]bool, r.C+1)
+	}
+	usedPart := s.usedPart[:r.C+1]
+	pairs, tops := s.pairs, s.tops
 	maxConf := 0
-	for _, rem := range bySrc {
+	// Pairs ascend by source, so each source switch's pairs form one
+	// contiguous run [lo, hi) (line 1 groups by source switch).
+	for lo, hi := 0, 0; lo < len(pairs); lo = hi {
+		v := pairs[lo].Src / n
+		rem := s.rem[:0]
+		for hi = lo; hi < len(pairs) && pairs[hi].Src/n == v; hi++ {
+			if pairs[hi].Dst/n != v {
+				rem = append(rem, hi)
+			}
+		}
 		conf := 0
 		for len(rem) > 0 {
 			// Line 5: allocate a new configuration.
-			usedPart := make([]bool, r.C+1)
+			clear(usedPart)
 			for len(rem) > 0 {
 				// Line 7: the largest key-distinct subset over unused
-				// partitions (or the first non-empty partition in the
-				// first-fit ablation).
-				bestQ, bestKeys := -1, map[int]int(nil)
+				// partitions (or the first unused partition in the
+				// first-fit ablation); ties keep the lowest partition.
+				bestQ, bestSize := -1, 0
 				for q := 0; q <= r.C; q++ {
 					if usedPart[q] {
 						continue
 					}
-					keys := make(map[int]int, len(rem))
+					s.keys.clear()
+					size := 0
 					for _, idx := range rem {
-						k := r.PartitionKey(q, pairs[idx].Dst)
-						if _, dup := keys[k]; !dup {
-							keys[k] = idx
+						if s.keys.add(r.PartitionKey(q, pairs[idx].Dst)) {
+							size++
 						}
 					}
-					if bestQ == -1 || len(keys) > len(bestKeys) {
-						bestQ, bestKeys = q, keys
+					if bestQ == -1 || size > bestSize {
+						bestQ, bestSize = q, size
 					}
 					if r.FirstFit {
 						break
@@ -144,16 +167,18 @@ func (r *NonblockingAdaptive) Plan(p *permutation.Permutation) (tops []int, pair
 				if bestQ == -1 {
 					break // configuration exhausted (line 6)
 				}
-				// Lines 8–10: route the subset, mark partition used.
-				routed := make(map[int]bool, len(bestKeys))
-				for key, idx := range bestKeys {
-					tops[idx] = r.topIndex(conf, bestQ, key)
-					routed[idx] = true
+				// Lines 8–10: route the first pair of every key on the
+				// chosen partition, mark it used, keep the rest.
+				s.keys.clear()
+				for _, idx := range rem {
+					if k := r.PartitionKey(bestQ, pairs[idx].Dst); s.keys.add(k) {
+						tops[idx] = r.topIndex(conf, bestQ, k)
+					}
 				}
 				usedPart[bestQ] = true
 				next := rem[:0]
 				for _, idx := range rem {
-					if !routed[idx] {
+					if tops[idx] < 0 {
 						next = append(next, idx)
 					}
 				}
@@ -161,55 +186,99 @@ func (r *NonblockingAdaptive) Plan(p *permutation.Permutation) (tops []int, pair
 			}
 			conf++
 		}
+		s.rem = rem
 		if conf > maxConf {
 			maxConf = conf
 		}
 	}
-	return tops, pairs, maxConf, nil
+	return maxConf, nil
+}
+
+// planOver plans p into s and maps every logical top slot onto a physical
+// top switch: the identity when healthy is nil, healthy[slot] otherwise
+// (the ascending renumbering over the usable switches that RouteAvoiding
+// and AvoidingAdaptive route on). It fails when the pattern needs more top
+// switches than the mapping offers, and returns the configurations
+// consumed and the top switches they need. It is the single plan and
+// top-mapping body shared by the Assignment routes and AppendPatternLinks,
+// so the two cannot drift apart.
+func (r *NonblockingAdaptive) planOver(p *permutation.Permutation, s *PatternLinks, healthy []int) (confs, need int, err error) {
+	confs, err = r.plan(p, s)
+	if err != nil {
+		return 0, 0, err
+	}
+	need = confs * (r.C + 1) * r.F.N
+	if healthy == nil {
+		if need > r.F.M {
+			return 0, 0, fmt.Errorf("routing: pattern needs %d top switches (%d configurations of %d), network has m=%d",
+				need, confs, (r.C+1)*r.F.N, r.F.M)
+		}
+		return confs, need, nil
+	}
+	if need > len(healthy) {
+		return 0, 0, fmt.Errorf("routing: pattern needs %d top switches, only %d healthy of m=%d",
+			need, len(healthy), r.F.M)
+	}
+	for i, t := range s.tops {
+		if t >= 0 {
+			s.tops[i] = healthy[t]
+		}
+	}
+	return confs, need, nil
 }
 
 // Route runs Plan and materializes paths, verifying that the physical
 // network has enough top-level switches: m ≥ confs·(c+1)·n.
 func (r *NonblockingAdaptive) Route(p *permutation.Permutation) (*Assignment, error) {
-	tops, pairs, confs, err := r.Plan(p)
+	return r.route(p, nil)
+}
+
+// route materializes a planned assignment over the top-switch mapping
+// healthy (see planOver).
+func (r *NonblockingAdaptive) route(p *permutation.Permutation, healthy []int) (*Assignment, error) {
+	var s PatternLinks
+	confs, need, err := r.planOver(p, &s, healthy)
 	if err != nil {
 		return nil, err
 	}
-	need := confs * (r.C + 1) * r.F.N
-	if need > r.F.M {
-		return nil, fmt.Errorf("routing: pattern needs %d top switches (%d configurations of %d), network has m=%d",
-			need, confs, (r.C+1)*r.F.N, r.F.M)
-	}
-	return r.assemble(pairs, tops, confs, need, identTop), nil
-}
-
-func identTop(t int) int { return t }
-
-// assemble materializes a planned assignment: each pair's logical top-switch
-// slot is mapped to a physical switch by physTop (the identity on a healthy
-// network; the healthy-switch renumbering when avoiding failures). It is the
-// single path-construction body shared by Route and RouteAvoiding, so the
-// degraded path cannot drift from the healthy one.
-func (r *NonblockingAdaptive) assemble(pairs []permutation.Pair, tops []int, confs, need int, physTop func(int) int) *Assignment {
 	a := &Assignment{
 		Net:             r.F.Net,
-		Pairs:           pairs,
-		PathSets:        make([][]topology.Path, len(pairs)),
+		Pairs:           s.pairs,
+		PathSets:        make([][]topology.Path, len(s.pairs)),
 		Configurations:  confs,
 		TopSwitchesUsed: need,
 	}
-	for i, pr := range pairs {
-		switch {
-		case pr.Src == pr.Dst:
+	for i, pr := range s.pairs {
+		if pr.Src == pr.Dst {
 			a.PathSets[i] = selfPath(topology.NodeID(pr.Src))
-		case tops[i] < 0:
-			// Intra-switch pair: RouteVia ignores the top switch.
-			a.PathSets[i] = []topology.Path{r.F.RouteVia(topology.NodeID(pr.Src), topology.NodeID(pr.Dst), 0)}
-		default:
-			a.PathSets[i] = []topology.Path{r.F.RouteVia(topology.NodeID(pr.Src), topology.NodeID(pr.Dst), physTop(tops[i]))}
+			continue
 		}
+		// Intra-switch pairs keep top −1, which RouteVia ignores.
+		a.PathSets[i] = []topology.Path{r.F.RouteVia(topology.NodeID(pr.Src), topology.NodeID(pr.Dst), s.tops[i])}
 	}
-	return a
+	return a, nil
+}
+
+// AppendPatternLinks implements PatternLinkAppender: the links Route
+// would assign, planned in the caller's scratch without building paths.
+func (r *NonblockingAdaptive) AppendPatternLinks(p *permutation.Permutation, s *PatternLinks) error {
+	return r.appendPatternLinks(p, s, nil)
+}
+
+// appendPatternLinks plans p over the top-switch mapping healthy and
+// writes every pair's links into s in pair order.
+func (r *NonblockingAdaptive) appendPatternLinks(p *permutation.Permutation, s *PatternLinks, healthy []int) error {
+	if _, _, err := r.planOver(p, s, healthy); err != nil {
+		return err
+	}
+	s.links, s.offs = s.links[:0], append(s.offs[:0], 0)
+	for i, pr := range s.pairs {
+		if pr.Src != pr.Dst {
+			s.links = r.F.AppendLinksVia(s.links, pr.Src, pr.Dst, s.tops[i])
+		}
+		s.offs = append(s.offs, len(s.links))
+	}
+	return nil
 }
 
 // RequiredM reports how many top-level switches the algorithm needs for

@@ -83,20 +83,14 @@ func (r *FtreeSinglePath) AppendPairLinks(src, dst int, buf []topology.LinkID) (
 	if src == dst {
 		return buf, nil
 	}
-	sv, sk := src/n, src%n
-	dv, dk := dst/n, dst%n
-	if sv == dv {
-		return append(buf, r.F.HostUpLink(sv, sk), r.F.HostDownLink(dv, dk)), nil
+	t := 0
+	if src/n != dst/n {
+		t = r.TopChoice(src, dst)
+		if t < 0 || t >= r.F.M {
+			return buf, fmt.Errorf("TopChoice(%d,%d) = %d out of [0,%d)", src, dst, t, r.F.M)
+		}
 	}
-	t := r.TopChoice(src, dst)
-	if t < 0 || t >= r.F.M {
-		return buf, fmt.Errorf("TopChoice(%d,%d) = %d out of [0,%d)", src, dst, t, r.F.M)
-	}
-	return append(buf,
-		r.F.HostUpLink(sv, sk),
-		r.F.UpLink(sv, t),
-		r.F.DownLink(t, dv),
-		r.F.HostDownLink(dv, dk)), nil
+	return r.F.AppendLinksVia(buf, src, dst, t), nil
 }
 
 // NewPaperDeterministic returns the Theorem-3 routing algorithm for

@@ -31,22 +31,20 @@ import (
 // ascending order. It fails when the pattern needs more healthy switches
 // than remain.
 func (r *NonblockingAdaptive) RouteAvoiding(p *permutation.Permutation, failed map[int]bool) (*Assignment, error) {
-	healthy := make([]int, 0, r.F.M)
-	for t := 0; t < r.F.M; t++ {
+	return r.route(p, healthyTops(r.F.M, failed))
+}
+
+// healthyTops lists the top switches in [0, m) not in failed, ascending.
+// The result is non-nil even when every switch failed: planOver reads nil
+// as "no failures".
+func healthyTops(m int, failed map[int]bool) []int {
+	healthy := make([]int, 0, m)
+	for t := 0; t < m; t++ {
 		if !failed[t] {
 			healthy = append(healthy, t)
 		}
 	}
-	tops, pairs, confs, err := r.Plan(p)
-	if err != nil {
-		return nil, err
-	}
-	need := confs * (r.C + 1) * r.F.N
-	if need > len(healthy) {
-		return nil, fmt.Errorf("routing: pattern needs %d top switches, only %d healthy of m=%d",
-			need, len(healthy), r.F.M)
-	}
-	return r.assemble(pairs, tops, confs, need, func(t int) int { return healthy[t] }), nil
+	return healthy
 }
 
 // SparedDeterministic is the Theorem-3 scheme hardened with spare top
@@ -56,14 +54,15 @@ func (r *NonblockingAdaptive) RouteAvoiding(p *permutation.Permutation, failed m
 // Lemma 1 is preserved and the network remains nonblocking for up to s
 // simultaneous failures.
 type SparedDeterministic struct {
-	F *topology.FoldedClos
+	// FtreeSinglePath routes each cross-switch pair through its class's
+	// remapped top switch; NewSparedDeterministicView adds a PairCheck
+	// rejecting pairs whose endpoint host is detached by a bottom-switch
+	// failure.
+	*FtreeSinglePath
 	// remap[class] is the physical top switch serving the class.
 	remap []int
 	// failures records the failed switch set the remap was built for.
 	failures map[int]bool
-	// view, when non-nil (NewSparedDeterministicView), rejects pairs
-	// whose endpoint host is detached by a bottom-switch failure.
-	view *topology.FailureView
 }
 
 // NewPaperDeterministicSpared builds the hardened router for the failure
@@ -105,7 +104,18 @@ func NewPaperDeterministicSpared(f *topology.FoldedClos, failed map[int]bool) (*
 			cp[k] = true
 		}
 	}
-	return &SparedDeterministic{F: f, remap: remap, failures: cp}, nil
+	n := f.N
+	return &SparedDeterministic{
+		FtreeSinglePath: &FtreeSinglePath{
+			F:          f,
+			RouterName: "paper-deterministic-spared",
+			TopChoice: func(src, dst int) int {
+				return remap[(src%n)*n+dst%n]
+			},
+		},
+		remap:    remap,
+		failures: cp,
+	}, nil
 }
 
 func countTrue(m map[int]bool) int {
@@ -116,42 +126,6 @@ func countTrue(m map[int]bool) int {
 		}
 	}
 	return c
-}
-
-// Name returns "paper-deterministic-spared".
-func (r *SparedDeterministic) Name() string { return "paper-deterministic-spared" }
-
-// PathFor routes one SD pair through its class's (possibly remapped) top
-// switch.
-func (r *SparedDeterministic) PathFor(src, dst int) (topology.Path, error) {
-	n := r.F.N
-	if src < 0 || src >= r.F.Ports() || dst < 0 || dst >= r.F.Ports() {
-		return topology.Path{}, fmt.Errorf("host index out of range: %d or %d", src, dst)
-	}
-	if r.view != nil {
-		if !r.view.HostAlive(src) || !r.view.HostAlive(dst) {
-			return topology.Path{}, fmt.Errorf("routing: pair %d->%d uses a detached host (failed bottom switch)", src, dst)
-		}
-	}
-	if src == dst {
-		return topology.Path{Nodes: []topology.NodeID{topology.NodeID(src)}}, nil
-	}
-	if src/n == dst/n {
-		return r.F.RouteVia(topology.NodeID(src), topology.NodeID(dst), 0), nil
-	}
-	class := (src%n)*n + dst%n
-	return r.F.RouteVia(topology.NodeID(src), topology.NodeID(dst), r.remap[class]), nil
-}
-
-// Route assigns a path to every SD pair of the pattern.
-func (r *SparedDeterministic) Route(p *permutation.Permutation) (*Assignment, error) {
-	return routePairwise(r.F.Net, p, func(s, d int) ([]topology.Path, error) {
-		path, err := r.PathFor(s, d)
-		if err != nil {
-			return nil, err
-		}
-		return []topology.Path{path}, nil
-	})
 }
 
 // UsesFailedSwitch reports whether any remapped class lands on a failed

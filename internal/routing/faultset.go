@@ -33,11 +33,16 @@ func topOutage(f *topology.FoldedClos, view *topology.FailureView) map[int]bool 
 }
 
 // checkPairsAlive rejects patterns that use a detached host (a host whose
-// bottom switch failed): no route of any kind exists for such a pair.
+// bottom switch failed): no route of any kind exists for such a pair. It
+// reports the first such pair in ascending source order.
 func checkPairsAlive(view *topology.FailureView, p *permutation.Permutation) error {
-	for _, pr := range p.Pairs() {
-		if !view.HostAlive(pr.Src) || !view.HostAlive(pr.Dst) {
-			return fmt.Errorf("routing: pair %d->%d uses a detached host (failed bottom switch)", pr.Src, pr.Dst)
+	for s := 0; s < p.N(); s++ {
+		d := p.Dst(s)
+		if d == permutation.Unused {
+			continue
+		}
+		if !view.HostAlive(s) || !view.HostAlive(d) {
+			return fmt.Errorf("routing: pair %d->%d uses a detached host (failed bottom switch)", s, d)
 		}
 	}
 	return nil
@@ -57,9 +62,11 @@ func pairCheckAlive(view *topology.FailureView) func(src, dst int) error {
 // Router: configuration blocks are renumbered over the intact top switches
 // and the pattern fails when it needs more of them than remain.
 type AvoidingAdaptive struct {
-	ad     *NonblockingAdaptive
-	view   *topology.FailureView
-	failed map[int]bool
+	ad   *NonblockingAdaptive
+	view *topology.FailureView
+	// healthy lists the intact top switches in ascending order: the
+	// renumbering configuration blocks are laid out over.
+	healthy []int
 }
 
 // NewAvoidingAdaptive builds the degraded adaptive router for the failure
@@ -69,7 +76,7 @@ func NewAvoidingAdaptive(f *topology.FoldedClos, view *topology.FailureView) (*A
 	if err != nil {
 		return nil, err
 	}
-	return &AvoidingAdaptive{ad: ad, view: view, failed: topOutage(f, view)}, nil
+	return &AvoidingAdaptive{ad: ad, view: view, healthy: view.IntactTops()}, nil
 }
 
 // Name returns "adaptive-avoiding".
@@ -81,7 +88,16 @@ func (r *AvoidingAdaptive) Route(p *permutation.Permutation) (*Assignment, error
 	if err := checkPairsAlive(r.view, p); err != nil {
 		return nil, err
 	}
-	return r.ad.RouteAvoiding(p, r.failed)
+	return r.ad.route(p, r.healthy)
+}
+
+// AppendPatternLinks implements PatternLinkAppender: the links Route would
+// assign, planned in the caller's scratch without building paths.
+func (r *AvoidingAdaptive) AppendPatternLinks(p *permutation.Permutation, s *PatternLinks) error {
+	if err := checkPairsAlive(r.view, p); err != nil {
+		return err
+	}
+	return r.ad.appendPatternLinks(p, s, r.healthy)
 }
 
 // NewSparedDeterministicView builds the spared Theorem-3 scheme for a
@@ -92,7 +108,7 @@ func NewSparedDeterministicView(f *topology.FoldedClos, view *topology.FailureVi
 	if err != nil {
 		return nil, err
 	}
-	sp.view = view
+	sp.PairCheck = pairCheckAlive(view)
 	return sp, nil
 }
 

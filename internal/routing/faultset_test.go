@@ -10,7 +10,7 @@ import (
 	"repro/internal/topology"
 )
 
-// The shared assemble helper must make RouteAvoiding with no failures
+// The shared plan and top-mapping body must make RouteAvoiding with no failures
 // byte-identical to the healthy Route.
 func TestRouteAvoidingNoFailuresMatchesRoute(t *testing.T) {
 	f := topology.NewFoldedClos(3, 9, 9)

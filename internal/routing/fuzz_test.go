@@ -178,3 +178,81 @@ func FuzzRouteTableParity(f *testing.F) {
 		}
 	})
 }
+
+// FuzzFaultLinkParity checks the fault routers' allocation-free link
+// streams against the paths they route, on fuzz-chosen shapes and failure
+// sets: for every pair, AppendPairLinks must append exactly PathFor's
+// links after whatever buf already held (and nothing on error), with the
+// same error text, for local rerouting and the spared Theorem-3 scheme.
+func FuzzFaultLinkParity(f *testing.F) {
+	f.Add(2, 6, 4, []byte{1, 5}, int64(1))
+	f.Add(2, 5, 3, []byte{0, 2, 7, 11}, int64(2))
+	f.Add(3, 10, 3, []byte{2, 3, 4, 9, 200}, int64(3))
+	f.Add(2, 4, 4, []byte{}, int64(4))
+	f.Fuzz(func(t *testing.T, n, m, r int, fail []byte, seed int64) {
+		if n < 1 || n > 3 || m < 1 || m > 10 || r < 1 || r > 4 || len(fail) > 12 {
+			t.Skip()
+		}
+		ft := topology.NewFoldedClos(n, m, r)
+		// Each byte fails one element: a top switch, a bottom switch or a
+		// trunk cable, chosen by its residue mod 3.
+		var fs topology.FailureSet
+		for _, b := range fail {
+			i := int(b) / 3
+			switch b % 3 {
+			case 0:
+				fs.Tops = append(fs.Tops, i%m)
+			case 1:
+				fs.Bottoms = append(fs.Bottoms, i%r)
+			default:
+				fs.Trunks = append(fs.Trunks, topology.Trunk{Bottom: i % r, Top: (i / r) % m})
+			}
+		}
+		view, err := fs.View(ft)
+		if err != nil {
+			t.Skip()
+		}
+		routers := []interface {
+			routing.PairRouter
+			routing.PairLinkAppender
+		}{routing.NewLocalReroute(ft, view, seed)}
+		if sp, err := routing.NewSparedDeterministicView(ft, view); err == nil {
+			routers = append(routers, sp)
+		}
+		prefix := []topology.LinkID{7, 3}
+		for _, router := range routers {
+			for s := 0; s < ft.Ports(); s++ {
+				for d := 0; d < ft.Ports(); d++ {
+					buf := append(make([]topology.LinkID, 0, 8), prefix...)
+					got, errLinks := router.AppendPairLinks(s, d, buf)
+					path, errPath := router.PathFor(s, d)
+					if (errLinks == nil) != (errPath == nil) ||
+						(errLinks != nil && errLinks.Error() != errPath.Error()) {
+						t.Fatalf("%s %d->%d: AppendPairLinks error %v, PathFor error %v", router.Name(), s, d, errLinks, errPath)
+					}
+					if len(got) < len(prefix) || got[0] != prefix[0] || got[1] != prefix[1] {
+						t.Fatalf("%s %d->%d: buf prefix clobbered: %v", router.Name(), s, d, got)
+					}
+					got = got[len(prefix):]
+					if errLinks != nil {
+						if len(got) != 0 {
+							t.Fatalf("%s %d->%d: links %v appended despite error", router.Name(), s, d, got)
+						}
+						continue
+					}
+					if len(got) != len(path.Links) {
+						t.Fatalf("%s %d->%d: links %v, path %v", router.Name(), s, d, got, path.Links)
+					}
+					for i := range got {
+						if got[i] != path.Links[i] {
+							t.Fatalf("%s %d->%d: links %v, path %v", router.Name(), s, d, got, path.Links)
+						}
+					}
+					if !path.Valid(ft.Net) || !view.PathHealthy(path) {
+						t.Fatalf("%s %d->%d: invalid or unhealthy path %+v", router.Name(), s, d, path)
+					}
+				}
+			}
+		}
+	})
+}

@@ -26,7 +26,7 @@ import (
 // per-switch coin flips of the scheme (distinct pairs get unrelated
 // streams).
 //
-// The walk gives up after a visit budget of 4+⌈log₂ m⌉ top switches; on a
+// The walk gives up after a visit budget of 4+⌊log₂ m⌋ top switches; on a
 // connected degraded fabric the random deflections escape any local
 // minimum well before that with high probability, mirroring the paper's
 // O(log n)-bounce bound.
@@ -54,29 +54,47 @@ func NewLocalReroute(f *topology.FoldedClos, view *topology.FailureView, seed in
 // Name returns "local-reroute".
 func (r *LocalReroute) Name() string { return "local-reroute" }
 
-// PathFor walks the deflection route for one SD pair. It errors when an
+// PathFor returns the deflection route for one SD pair: the links of
+// AppendPairLinks's walk, with the nodes they visit. It errors when an
 // endpoint is detached, a switch has no healthy escape link, or the visit
 // budget is exhausted.
 func (r *LocalReroute) PathFor(src, dst int) (topology.Path, error) {
+	links, err := r.AppendPairLinks(src, dst, nil)
+	if err != nil {
+		return topology.Path{}, err
+	}
+	nodes := make([]topology.NodeID, 1, len(links)+1)
+	nodes[0] = topology.NodeID(src)
+	for _, l := range links {
+		nodes = append(nodes, r.F.Net.Link(l).To)
+	}
+	return topology.Path{Nodes: nodes, Links: links}, nil
+}
+
+// AppendPairLinks implements PairLinkAppender: it walks the deflection
+// route for one SD pair, appending each link the packet crosses to buf.
+// It is the one walk behind PathFor, so the two cannot disagree. On error
+// buf is returned with nothing appended.
+func (r *LocalReroute) AppendPairLinks(src, dst int, buf []topology.LinkID) ([]topology.LinkID, error) {
 	f, v, n := r.F, r.view, r.F.N
 	if src < 0 || src >= f.Ports() || dst < 0 || dst >= f.Ports() {
-		return topology.Path{}, fmt.Errorf("host index out of range: %d or %d", src, dst)
+		return buf, fmt.Errorf("host index out of range: %d or %d", src, dst)
 	}
 	if !v.HostAlive(src) || !v.HostAlive(dst) {
-		return topology.Path{}, fmt.Errorf("routing: pair %d->%d uses a detached host (failed bottom switch)", src, dst)
+		return buf, fmt.Errorf("routing: pair %d->%d uses a detached host (failed bottom switch)", src, dst)
 	}
 	if src == dst {
-		return topology.Path{Nodes: []topology.NodeID{topology.NodeID(src)}}, nil
+		return buf, nil
 	}
 	sv, sk := src/n, src%n
 	dv, dk := dst/n, dst%n
 	if sv == dv {
-		return f.RouteVia(topology.NodeID(src), topology.NodeID(dst), 0), nil
+		return append(buf, f.HostUpLink(sv, sk), f.HostDownLink(dv, dk)), nil
 	}
 	pref := ((src%n)*n + dst%n) % f.M // Theorem-3 class switch (folded for small m)
 	state := uint64(pairSeed(r.seed, src, dst))
-	nodes := []topology.NodeID{topology.NodeID(src), f.Bottom(sv)}
-	links := []topology.LinkID{f.HostUpLink(sv, sk)}
+	start := len(buf)
+	buf = append(buf, f.HostUpLink(sv, sk))
 	cur, lastTop := sv, -1
 	for visit := 0; visit < r.maxVisits; visit++ {
 		var t int
@@ -86,26 +104,22 @@ func (r *LocalReroute) PathFor(src, dst int) (topology.Path, error) {
 			t = r.pickTop(cur, lastTop, &state)
 		}
 		if t < 0 {
-			return topology.Path{}, fmt.Errorf("routing: local reroute for %d->%d stuck at bottom switch %d: no healthy uplink", src, dst, cur)
+			return buf[:start], fmt.Errorf("routing: local reroute for %d->%d stuck at bottom switch %d: no healthy uplink", src, dst, cur)
 		}
-		nodes = append(nodes, f.Top(t))
-		links = append(links, f.UpLink(cur, t))
+		buf = append(buf, f.UpLink(cur, t))
 		if !v.TrunkFailed(dv, t) {
-			nodes = append(nodes, f.Bottom(dv), topology.NodeID(dst))
-			links = append(links, f.DownLink(t, dv), f.HostDownLink(dv, dk))
-			return topology.Path{Nodes: nodes, Links: links}, nil
+			return append(buf, f.DownLink(t, dv), f.HostDownLink(dv, dk)), nil
 		}
 		// The top switch cannot reach the destination: bounce down to a
 		// random healthy bottom switch and retry from there.
 		w := r.pickBottom(t, cur, &state)
 		if w < 0 {
-			return topology.Path{}, fmt.Errorf("routing: local reroute for %d->%d stuck at top switch %d: no healthy downlink", src, dst, t)
+			return buf[:start], fmt.Errorf("routing: local reroute for %d->%d stuck at top switch %d: no healthy downlink", src, dst, t)
 		}
-		nodes = append(nodes, f.Bottom(w))
-		links = append(links, f.DownLink(t, w))
+		buf = append(buf, f.DownLink(t, w))
 		cur, lastTop = w, t
 	}
-	return topology.Path{}, fmt.Errorf("routing: local reroute for %d->%d exceeded %d top-switch visits", src, dst, r.maxVisits)
+	return buf[:start], fmt.Errorf("routing: local reroute for %d->%d exceeded %d top-switch visits", src, dst, r.maxVisits)
 }
 
 // pickTop draws a uniform healthy uplink of bottom switch b, avoiding the

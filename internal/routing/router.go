@@ -133,6 +133,48 @@ type PairLinkAppender interface {
 	AppendPairLinks(src, dst int, buf []topology.LinkID) ([]topology.LinkID, error)
 }
 
+// PatternLinkAppender is the pattern-level counterpart of PairLinkAppender
+// for pattern-dependent routers (NONBLOCKINGADAPTIVE and its fault-avoiding
+// form), whose paths cannot be enumerated one pair at a time: the router
+// plans the whole pattern in caller-owned scratch and emits each pair's
+// links without materializing Path or Assignment values. Implementations
+// must report exactly the links, pair order and errors of Route.
+type PatternLinkAppender interface {
+	Router
+	// AppendPatternLinks routes p into s, replacing its previous
+	// contents: afterwards pair i of Assignment.Pairs order loads
+	// s.PairLinks(i). On error the contents of s are unspecified.
+	AppendPatternLinks(p *permutation.Permutation, s *PatternLinks) error
+}
+
+// PatternLinks is the output and working scratch of a PatternLinkAppender:
+// every routed pair's links back to back in a CSR layout (like RouteTable),
+// plus the planner's buffers. The caller owns it — analysis.Checker keeps
+// one per Checker — so routers stay stateless and safe for concurrent use.
+// The zero value is ready to use; reusing one across patterns makes
+// routing allocation-free once its buffers have grown. It is NOT safe for
+// concurrent use.
+type PatternLinks struct {
+	// links holds every pair's links; offs[i]..offs[i+1] delimit pair i.
+	links []topology.LinkID
+	offs  []int
+	// Planner scratch (NonblockingAdaptive.plan).
+	pairs    []permutation.Pair
+	tops     []int
+	rem      []int
+	usedPart []bool
+	keys     epochSet
+}
+
+// Pairs is the number of SD pairs of the last routed pattern.
+func (s *PatternLinks) Pairs() int { return max(len(s.offs)-1, 0) }
+
+// PairLinks returns pair i's links (empty for a self-pair). The slice
+// aliases the scratch: valid until the next AppendPatternLinks call.
+func (s *PatternLinks) PairLinks(i int) []topology.LinkID {
+	return s.links[s.offs[i]:s.offs[i+1]]
+}
+
 // routePairwise assembles an Assignment for a pattern using a per-pair
 // path-set function.
 func routePairwise(net *topology.Network, p *permutation.Permutation, pathsFor func(s, d int) ([]topology.Path, error)) (*Assignment, error) {

@@ -111,7 +111,7 @@ func BuildRouteTable(r Router, hosts int) (*RouteTable, error) {
 		name:  r.Name(),
 	}
 	var buf []topology.LinkID
-	dedup := linkDedup{epoch: routeTableStartEpoch}
+	dedup := epochSet{epoch: routeTableStartEpoch}
 	idx := 0
 	for s := 0; s < hosts; s++ {
 		for d := 0; d < hosts; d++ {
@@ -119,12 +119,12 @@ func BuildRouteTable(r Router, hosts int) (*RouteTable, error) {
 			if err != nil {
 				return nil, fmt.Errorf("routing pair %d->%d: %w", s, d, err)
 			}
-			dedup.nextPair()
+			dedup.clear()
 			for _, l := range buf {
 				if l < 0 {
 					return nil, fmt.Errorf("routing pair %d->%d: invalid link id %d", s, d, l)
 				}
-				if !dedup.firstSight(l) {
+				if !dedup.add(int(l)) {
 					continue
 				}
 				t.links = append(t.links, l)
@@ -143,19 +143,21 @@ func BuildRouteTable(r Router, hosts int) (*RouteTable, error) {
 	return t, nil
 }
 
-// linkDedup is the per-pair link-deduplication scratch: seen[l] == epoch
-// marks link l as already present in the current pair's span, so starting
-// a new pair is one counter increment instead of clearing the slice.
-type linkDedup struct {
+// epochSet is a reusable set of small non-negative integers: seen[i] ==
+// epoch marks i as a member of the current generation, so emptying the set
+// is one counter increment instead of clearing the slice. Route-table builds
+// use it to deduplicate a pair's links; the adaptive planner uses it to find
+// the first pair per partition key.
+type epochSet struct {
 	seen  []uint32
 	epoch uint32
 }
 
-// nextPair opens a fresh dedup generation. When the epoch counter wraps at
+// clear opens a fresh, empty generation. When the epoch counter wraps at
 // 2^32 the zero value would alias every never-seen entry (and any entry
-// last marked exactly 2^32 pairs ago), so the scratch is cleared and the
-// epoch restarts at 1 — the same state as a fresh scratch.
-func (d *linkDedup) nextPair() {
+// last marked exactly 2^32 generations ago), so the scratch is cleared and
+// the epoch restarts at 1 — the same state as a fresh scratch.
+func (d *epochSet) clear() {
 	d.epoch++
 	if d.epoch == 0 {
 		for i := range d.seen {
@@ -165,18 +167,18 @@ func (d *linkDedup) nextPair() {
 	}
 }
 
-// firstSight marks link l in the current generation and reports whether
-// this is its first occurrence within the pair. l must be non-negative.
-func (d *linkDedup) firstSight(l topology.LinkID) bool {
-	if int(l) >= len(d.seen) {
-		grown := make([]uint32, int(l)+1)
+// add inserts i into the current generation and reports whether it was
+// absent. i must be non-negative.
+func (d *epochSet) add(i int) bool {
+	if i >= len(d.seen) {
+		grown := make([]uint32, i+1)
 		copy(grown, d.seen)
 		d.seen = grown
 	}
-	if d.seen[l] == d.epoch {
+	if d.seen[i] == d.epoch {
 		return false
 	}
-	d.seen[l] = d.epoch
+	d.seen[i] = d.epoch
 	return true
 }
 

@@ -48,27 +48,27 @@ func TestBuildRouteTableOffsetOverflowGuard(t *testing.T) {
 // entry (seen[l] == 0) look already-seen, silently dropping links from
 // spans. The wrap must clear the scratch and restart at epoch 1.
 func TestLinkDedupEpochWrap(t *testing.T) {
-	d := linkDedup{epoch: ^uint32(0) - 1}
-	d.nextPair() // epoch = MaxUint32
-	if !d.firstSight(0) || !d.firstSight(1) {
+	d := epochSet{epoch: ^uint32(0) - 1}
+	d.clear() // epoch = MaxUint32
+	if !d.add(0) || !d.add(1) {
 		t.Fatal("fresh links not first sights before the wrap")
 	}
-	if d.firstSight(0) {
+	if d.add(0) {
 		t.Fatal("duplicate link reported as first sight")
 	}
-	d.nextPair() // wraps: must clear and restart at 1
+	d.clear() // wraps: must clear and restart at 1
 	if d.epoch != 1 {
 		t.Fatalf("post-wrap epoch = %d, want 1", d.epoch)
 	}
-	for l := topology.LinkID(0); l < 2; l++ {
+	for l := 0; l < 2; l++ {
 		if d.seen[l] != 0 {
 			t.Fatalf("seen[%d] = %d not cleared on wrap", l, d.seen[l])
 		}
 	}
-	if !d.firstSight(0) {
+	if !d.add(0) {
 		t.Fatal("post-wrap pair aliased a stale entry: link 0 not a first sight")
 	}
-	if d.firstSight(0) {
+	if d.add(0) {
 		t.Fatal("post-wrap duplicate reported as first sight")
 	}
 }

@@ -190,6 +190,23 @@ func (f *FoldedClos) RouteVia(src, dst NodeID, t int) Path {
 	}
 }
 
+// AppendLinksVia appends the links of RouteVia(src, dst, t) to buf without
+// building the Path — the allocation-free form contention accounting uses.
+// src and dst are distinct host indices (host IDs coincide with them); t is
+// ignored for an intra-switch pair.
+func (f *FoldedClos) AppendLinksVia(buf []LinkID, src, dst, t int) []LinkID {
+	sv, sk := src/f.N, src%f.N
+	dv, dk := dst/f.N, dst%f.N
+	if sv == dv {
+		return append(buf, f.HostUpLink(sv, sk), f.HostDownLink(dv, dk))
+	}
+	return append(buf,
+		f.HostUpLink(sv, sk),
+		f.UpLink(sv, t),
+		f.DownLink(t, dv),
+		f.HostDownLink(dv, dk))
+}
+
 // Subtree returns the Fig. 2 subgraph of ftree(n+m, r): the ftree(n+1, r)
 // containing all bottom switches and hosts but only one top-level switch.
 // It is used by the Lemma-2 analysis of how many SD pairs a single root can
