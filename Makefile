@@ -11,7 +11,7 @@ RACE_PKGS ?= ./internal/sim/ ./internal/analysis/ ./internal/routing/ ./internal
 FUZZTIME ?= 30s
 FUZZ_TARGETS := ./internal/routing/:FuzzEdgeColorBipartite ./internal/routing/:FuzzBenesLooping ./internal/routing/:FuzzRouteTableParity ./internal/routing/:FuzzFaultLinkParity ./internal/permutation/:FuzzCanonicalParity
 
-.PHONY: all build test race cover bench bench-json bench-gate fuzz-smoke batch-smoke coordinator-smoke frontier-smoke design-smoke fault-smoke report tables examples clean
+.PHONY: all build test race cover bench bench-json bench-gate fuzz-smoke batch-smoke coordinator-smoke frontier-smoke design-smoke fault-smoke smoke-filters report tables examples clean
 
 all: build test
 
@@ -37,12 +37,13 @@ coordinator-smoke:
 	GO="$(GO)" ./scripts/coordinator_smoke.sh
 
 # Frontier smoke: the symmetry-reduced sweep's byte-identity proofs — the
-# engine property tests against the scratch oracle, the server/coordinator
+# engine property tests against the scratch oracle, the golden replay of
+# every recorded sweep variant through Sweep, the server/coordinator
 # parity and sym-shard checkpoint tests, then the real nbverify -sym
 # binary diffed against the full engine at n=8 and certifying n=12 past
 # the factorial wall.
 frontier-smoke:
-	$(GO) test ./internal/analysis/ -count=1 -run 'TestSweepExhaustiveSym|TestSym|TestSweepSymShard'
+	$(GO) test ./internal/analysis/ -count=1 -run 'TestSweepExhaustiveSym|TestSym|TestSweepSymShard|TestSweepGolden'
 	$(GO) test ./internal/server/ -count=1 -run 'TestSym|TestCoordinatedSym'
 	GO="$(GO)" ./scripts/frontier_smoke.sh
 
@@ -63,6 +64,13 @@ fault-smoke:
 	$(GO) test ./internal/campaign/ -count=1 -run 'TestRunParallelMatchesSequential|TestNoRouterEmitsFailedPath|TestAnalyzePatternParity'
 	$(GO) test ./internal/server/ -count=1 -run 'TestFailures'
 	GO="$(GO)" ./scripts/fault_smoke.sh
+
+# Smoke-filter guard: `go test -run` passes when its filter matches
+# nothing, so every |-alternative of every -run filter above must select
+# at least one test (go test -list). CI runs it in the lint job; a renamed
+# test then fails here instead of silently leaving a smoke target.
+smoke-filters:
+	GO="$(GO)" ./scripts/smoke_filters.sh
 
 race:
 	$(GO) test -race $(RACE_PKGS)

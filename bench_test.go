@@ -5,6 +5,7 @@
 package fclos_test
 
 import (
+	"context"
 	"io"
 	"math/rand"
 	"testing"
@@ -413,7 +414,7 @@ func BenchmarkExhaustiveSweepParallelAblation(b *testing.B) {
 	}
 	b.Run("sequential", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			res := fclos.SweepExhaustive(r, f.Ports())
+			res, _, _ := fclos.Sweep(context.Background(), r, f.Ports(), fclos.SweepSpec{})
 			if !res.Nonblocking() {
 				b.Fatal("blocked")
 			}
@@ -421,7 +422,7 @@ func BenchmarkExhaustiveSweepParallelAblation(b *testing.B) {
 	})
 	b.Run("parallel", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			res := fclos.SweepExhaustiveParallel(r, f.Ports(), 0)
+			res, _, _ := fclos.Sweep(context.Background(), r, f.Ports(), fclos.SweepSpec{Sharded: true})
 			if !res.Nonblocking() {
 				b.Fatal("blocked")
 			}
@@ -556,7 +557,7 @@ func BenchmarkSweepRandom(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := fclos.SweepRandom(r, f.Ports(), 10, 1)
+		res, _ := fclos.SweepRandomCtx(context.Background(), r, f.Ports(), 10, 1)
 		if !res.Nonblocking() {
 			b.Fatal("paper routing blocked")
 		}
@@ -573,7 +574,7 @@ func BenchmarkSweepExhaustive(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := fclos.SweepExhaustive(r, f.Ports())
+		res, _, _ := fclos.Sweep(context.Background(), r, f.Ports(), fclos.SweepSpec{})
 		if !res.Nonblocking() {
 			b.Fatal("paper routing blocked")
 		}
@@ -591,7 +592,7 @@ func BenchmarkSweepExhaustiveOracle(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := fclos.SweepExhaustiveOracle(r, f.Ports())
+		res, _, _ := fclos.Sweep(context.Background(), struct{ fclos.Router }{r}, f.Ports(), fclos.SweepSpec{})
 		if !res.Nonblocking() {
 			b.Fatal("paper routing blocked")
 		}
@@ -609,7 +610,7 @@ func BenchmarkSweepExhaustiveDelta9(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := fclos.SweepExhaustive(r, f.Ports())
+		res, _, _ := fclos.Sweep(context.Background(), r, f.Ports(), fclos.SweepSpec{})
 		if !res.Nonblocking() {
 			b.Fatal("paper routing blocked")
 		}

@@ -79,6 +79,9 @@ type benchmark struct {
 // same work.
 func buildBenchmarks() ([]benchmark, error) {
 	var benches []benchmark
+	// The sweeps below run valid specs under a context that never fires,
+	// so their errors are always nil.
+	ctx := context.Background()
 
 	// SweepRandom: randomized Lemma-1 verification on the Table-I network.
 	{
@@ -92,7 +95,7 @@ func buildBenchmarks() ([]benchmark, error) {
 			name: "SweepRandom",
 			fn: func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					if !fclos.SweepRandom(r, hosts, 10, 1).Nonblocking() {
+					if res, _ := fclos.SweepRandomCtx(ctx, r, hosts, 10, 1); !res.Nonblocking() {
 						b.Fatal("paper routing blocked")
 					}
 				}
@@ -113,7 +116,7 @@ func buildBenchmarks() ([]benchmark, error) {
 			name: "SweepExhaustive",
 			fn: func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					if !fclos.SweepExhaustive(r, hosts).Nonblocking() {
+					if res, _, _ := fclos.Sweep(ctx, r, hosts, fclos.SweepSpec{}); !res.Nonblocking() {
 						b.Fatal("paper routing blocked")
 					}
 				}
@@ -136,7 +139,7 @@ func buildBenchmarks() ([]benchmark, error) {
 			name: "SweepExhaustiveDelta",
 			fn: func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					if !fclos.SweepExhaustive(r, hosts).Nonblocking() {
+					if res, _, _ := fclos.Sweep(ctx, r, hosts, fclos.SweepSpec{}); !res.Nonblocking() {
 						b.Fatal("paper routing blocked")
 					}
 				}
@@ -155,7 +158,7 @@ func buildBenchmarks() ([]benchmark, error) {
 		f := fclos.NewFoldedClos(3, 5, 3)
 		r := fclos.NewFullSpray(f)
 		hosts := f.Ports()
-		res, stats := fclos.SweepExhaustiveSym(r, hosts, 3)
+		res, stats, _ := fclos.Sweep(ctx, r, hosts, fclos.SweepSpec{SymBlock: 3})
 		if !stats.Applied {
 			return nil, fmt.Errorf("sym sweep fell back at n=9: %s", stats.Reason)
 		}
@@ -163,7 +166,7 @@ func buildBenchmarks() ([]benchmark, error) {
 			name: "SweepExhaustiveSymN9",
 			fn: func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					res, stats := fclos.SweepExhaustiveSym(r, hosts, 3)
+					res, stats, _ := fclos.Sweep(ctx, r, hosts, fclos.SweepSpec{SymBlock: 3})
 					if !stats.Applied || res.Blocked != 345168 || res.Tested != 362880 {
 						b.Fatalf("sym sweep drifted: applied=%t blocked=%d tested=%d",
 							stats.Applied, res.Blocked, res.Tested)

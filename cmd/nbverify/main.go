@@ -188,53 +188,38 @@ func runCtx(ctx context.Context, out io.Writer, n, m, r int, scheme string, spra
 		return nil
 	}
 
-	if sym {
-		// -sym forces the exhaustive decision through the symmetry-reduced
-		// engine: where the reduction applies, even hosts! past the
-		// -max-exhaustive wall collapse to a feasible count of orbit
-		// representatives. Past the wall with no applicable reduction there
-		// is nothing safe to fall back to, so that is an error rather than
-		// a silent factorial sweep.
-		if st := analysis.SymApplicable(router, f.Ports(), n); !st.Applied && f.Ports() > maxExh {
-			return fmt.Errorf("symmetry reduction not applicable (%s) and %d hosts exceed -max-exhaustive=%d; the full %d! sweep needs that explicit opt-in",
-				st.Reason, f.Ports(), maxExh, f.Ports())
+	if sym || f.Ports() <= maxExh {
+		spec := analysis.SweepSpec{FirstBlocked: firstBlocked}
+		if sym {
+			// -sym forces the exhaustive decision through the
+			// symmetry-reduced engine: where the reduction applies, even
+			// hosts! past the -max-exhaustive wall collapse to a feasible
+			// count of orbit representatives. Past the wall with no
+			// applicable reduction there is nothing safe to fall back to,
+			// so that is an error rather than a silent factorial sweep.
+			if st := analysis.SymApplicable(router, f.Ports(), n); !st.Applied && f.Ports() > maxExh {
+				return fmt.Errorf("symmetry reduction not applicable (%s) and %d hosts exceed -max-exhaustive=%d; the full %d! sweep needs that explicit opt-in",
+					st.Reason, f.Ports(), maxExh, f.Ports())
+			}
+			spec.SymBlock = n
 		}
-		var res *analysis.SweepResult
-		var stats *analysis.SymStats
-		var err error
+		res, stats, err := analysis.Sweep(ctx, router, f.Ports(), spec)
+		if err != nil {
+			return err
+		}
+		switch {
+		case stats == nil:
+		case stats.Applied:
+			fmt.Fprintf(out, "symmetry: %d orbit representatives for %d patterns (group order %d)\n",
+				stats.Orbits, permutation.CountFull(f.Ports()), stats.GroupOrder)
+		default:
+			fmt.Fprintf(out, "symmetry: fell back to the full sweep: %s\n", stats.Reason)
+		}
 		kind := "exhaustive"
 		if firstBlocked {
 			kind = "exhaustive (first-blocked)"
-			res, stats, err = analysis.SweepExhaustiveSymFirstBlockedCtx(ctx, router, f.Ports(), n)
-		} else {
-			res, stats, err = analysis.SweepExhaustiveSymCtx(ctx, router, f.Ports(), n)
-		}
-		if err != nil {
-			return err
-		}
-		if stats.Applied {
-			fmt.Fprintf(out, "symmetry: %d orbit representatives for %d patterns (group order %d)\n",
-				stats.Orbits, permutation.CountFull(f.Ports()), stats.GroupOrder)
-		} else {
-			fmt.Fprintf(out, "symmetry: fell back to the full sweep: %s\n", stats.Reason)
 		}
 		report(out, res, kind)
-		return res.RouteErr
-	}
-	if f.Ports() <= maxExh {
-		if firstBlocked {
-			res, err := analysis.SweepExhaustiveFirstBlockedCtx(ctx, router, f.Ports())
-			if err != nil {
-				return err
-			}
-			report(out, res, "exhaustive (first-blocked)")
-			return res.RouteErr
-		}
-		res, err := analysis.SweepExhaustiveCtx(ctx, router, f.Ports())
-		if err != nil {
-			return err
-		}
-		report(out, res, "exhaustive")
 		return res.RouteErr
 	}
 	res, err := analysis.SweepRandomCtx(ctx, router, f.Ports(), trials, seed)

@@ -12,7 +12,8 @@
 //     (destination-mod static routing, centralized rearrangeable routing
 //     via bipartite edge coloring);
 //   - exact and randomized nonblocking verification (Lemma 1 all-pairs
-//     analysis, exhaustive and seeded permutation sweeps);
+//     analysis; exhaustive permutation sweeps through the one entry
+//     point Sweep, configured by a SweepSpec; seeded random sweeps);
 //   - the closed-form nonblocking conditions (Theorems 1, 2, 5; Lemmas 2
 //     and 6) and the Table-I cost model;
 //   - a deterministic cycle-accurate packet simulator for throughput
@@ -280,6 +281,9 @@ type (
 	ContentionReport = analysis.Report
 	// Lemma1Result is the exact all-pairs nonblocking decision.
 	Lemma1Result = analysis.Lemma1Result
+	// SweepSpec selects what a Sweep covers and how it runs; the zero
+	// value is the whole space, sequentially.
+	SweepSpec = analysis.SweepSpec
 	// SweepResult summarizes a permutation sweep.
 	SweepResult = analysis.SweepResult
 	// SymStats reports how a symmetry-reduced sweep executed (applied vs
@@ -314,38 +318,23 @@ var (
 	// BlockingWitness extracts a blocked two-pair permutation from a
 	// Lemma-1 violation.
 	BlockingWitness = analysis.BlockingWitness
-	// SweepExhaustive / SweepRandom test many permutations;
-	// SweepExhaustiveParallel shards the n! patterns over a worker pool.
-	// Routers with pattern-independent paths are swept by the incremental
-	// delta engine over a precomputed RouteTable; SweepExhaustiveOracle
-	// forces the per-pattern reference engine, and
-	// SweepExhaustiveFirstBlocked stops at the first contended pattern.
-	SweepExhaustive             = analysis.SweepExhaustive
-	SweepExhaustiveParallel     = analysis.SweepExhaustiveParallel
-	SweepExhaustiveOracle       = analysis.SweepExhaustiveOracle
-	SweepExhaustiveFirstBlocked = analysis.SweepExhaustiveFirstBlocked
-	SweepRandom                 = analysis.SweepRandom
-
-	// Symmetry-reduced sweeps: byte-identical to their full counterparts,
-	// sweeping one canonical representative per BlockSymmetry orbit (with
-	// counters scaled by orbit size) wherever the routing is equivariant,
-	// and falling back to the full engine where it is not. SymApplicable
-	// prechecks applicability without sweeping.
-	SweepExhaustiveSym             = analysis.SweepExhaustiveSym
-	SweepExhaustiveSymCtx          = analysis.SweepExhaustiveSymCtx
-	SweepExhaustiveSymFirstBlocked = analysis.SweepExhaustiveSymFirstBlocked
-	SymApplicable                  = analysis.SymApplicable
-
-	// The Ctx variants accept a context.Context and support cooperative
-	// cancellation: workers poll the context on a stride outside the
-	// per-pattern hot loop, so a context.Background() run costs one nil
-	// check per pattern and matches the plain variants exactly. On
-	// cancellation they return the partial result plus ctx.Err().
-	SweepExhaustiveCtx             = analysis.SweepExhaustiveCtx
-	SweepExhaustiveParallelCtx     = analysis.SweepExhaustiveParallelCtx
-	SweepExhaustiveOracleCtx       = analysis.SweepExhaustiveOracleCtx
-	SweepExhaustiveFirstBlockedCtx = analysis.SweepExhaustiveFirstBlockedCtx
-	SweepRandomCtx                 = analysis.SweepRandomCtx
+	// Sweep is the one exhaustive nonblocking verifier: it routes every
+	// full permutation a SweepSpec selects — the whole space, one prefix
+	// shard, or one orbit range — sequentially or over a worker pool,
+	// optionally stopping at the first blocked pattern and optionally
+	// reduced over the fabric's block symmetry group (byte-identical
+	// results either way). Routers with pattern-independent paths run the
+	// incremental delta engine over a precomputed RouteTable; others run
+	// the per-pattern Checker. It polls the context on a stride outside
+	// the per-pattern loop and, on cancellation, returns the partial
+	// result plus ctx.Err(). SymApplicable prechecks whether the symmetry
+	// reduction applies without sweeping.
+	Sweep         = analysis.Sweep
+	SymApplicable = analysis.SymApplicable
+	// SweepRandomCtx routes seeded random permutations plus the structured
+	// patterns most hostile to fat-trees, for host counts past the
+	// exhaustive wall.
+	SweepRandomCtx = analysis.SweepRandomCtx
 	// BlockingProbability estimates P(contention) over random
 	// permutations (Parallel variant splits trials across workers).
 	BlockingProbability         = analysis.BlockingProbability

@@ -101,7 +101,7 @@ func TestBlockingWitnessErrorsOnNonblocking(t *testing.T) {
 func TestSweepRandomReportsBlocked(t *testing.T) {
 	f := topology.NewFoldedClos(2, 4, 5)
 	r := routing.NewDestMod(f)
-	res := SweepRandom(r, f.Ports(), 50, 13)
+	res := sweepRandom(t, r, f.Ports(), 50, 13)
 	if res.RouteErr != nil {
 		t.Fatal(res.RouteErr)
 	}
@@ -119,7 +119,7 @@ func TestSweepExhaustiveStopsOnRouteError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := SweepExhaustive(r, f.Ports())
+	res := sweep(t, r, f.Ports(), SweepSpec{})
 	if res.RouteErr == nil {
 		t.Fatal("expected route error with m=1")
 	}

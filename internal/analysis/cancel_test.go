@@ -11,6 +11,12 @@ import (
 	"repro/internal/topology"
 )
 
+// sweepCtx is Sweep without the SymStats.
+func sweepCtx(ctx context.Context, r routing.Router, hosts int, spec SweepSpec) (*SweepResult, error) {
+	res, _, err := Sweep(ctx, r, hosts, spec)
+	return res, err
+}
+
 // cancelTestRouter builds the ftree(2+4,8) paper router: 16 hosts,
 // cacheable per-pair link sets, so both the delta and (forced) oracle
 // engines apply.
@@ -24,44 +30,52 @@ func cancelTestRouter(t *testing.T) (routing.Router, int) {
 	return r, f.Ports()
 }
 
-// TestSweepCtxBackgroundParity pins the no-cancellation contract: every Ctx
-// variant run under context.Background() returns a nil error and the exact
-// result of its pre-context counterpart. hosts=7 keeps the exhaustive
-// sweeps at 5040 patterns.
+// TestSweepCtxBackgroundParity pins the no-cancellation contract: every
+// sweep run under a cancellable context that never fires (so the strided
+// polls run) returns a nil error and exactly the result it returns under
+// context.Background(), where the polls are skipped. hosts=7 keeps the
+// exhaustive sweeps at 5040 patterns.
 func TestSweepCtxBackgroundParity(t *testing.T) {
 	r, _ := cancelTestRouter(t)
 	const hosts = 7
 	ctx := context.Background()
+	live, stop := context.WithCancel(ctx)
+	defer stop()
 
-	type variant struct {
+	for _, v := range []struct {
 		name string
-		old  func() *SweepResult
-		new  func() (*SweepResult, error)
-	}
-	for _, v := range []variant{
-		{"exhaustive",
-			func() *SweepResult { return SweepExhaustive(r, hosts) },
-			func() (*SweepResult, error) { return SweepExhaustiveCtx(ctx, r, hosts) }},
-		{"first-blocked",
-			func() *SweepResult { return SweepExhaustiveFirstBlocked(r, hosts) },
-			func() (*SweepResult, error) { return SweepExhaustiveFirstBlockedCtx(ctx, r, hosts) }},
-		{"oracle",
-			func() *SweepResult { return SweepExhaustiveOracle(r, hosts) },
-			func() (*SweepResult, error) { return SweepExhaustiveOracleCtx(ctx, r, hosts) }},
-		{"random",
-			func() *SweepResult { return SweepRandom(r, hosts, 500, 42) },
-			func() (*SweepResult, error) { return SweepRandomCtx(ctx, r, hosts, 500, 42) }},
-		{"parallel",
-			func() *SweepResult { return SweepExhaustiveParallel(r, hosts, 3) },
-			func() (*SweepResult, error) { return SweepExhaustiveParallelCtx(ctx, r, hosts, 3) }},
+		run  func(ctx context.Context) (*SweepResult, error)
+	}{
+		{"exhaustive", func(ctx context.Context) (*SweepResult, error) {
+			res, _, err := Sweep(ctx, r, hosts, SweepSpec{})
+			return res, err
+		}},
+		{"first-blocked", func(ctx context.Context) (*SweepResult, error) {
+			res, _, err := Sweep(ctx, r, hosts, SweepSpec{FirstBlocked: true})
+			return res, err
+		}},
+		{"oracle", func(ctx context.Context) (*SweepResult, error) {
+			res, _, err := Sweep(ctx, oracle(r), hosts, SweepSpec{})
+			return res, err
+		}},
+		{"random", func(ctx context.Context) (*SweepResult, error) {
+			return SweepRandomCtx(ctx, r, hosts, 500, 42)
+		}},
+		{"parallel", func(ctx context.Context) (*SweepResult, error) {
+			res, _, err := Sweep(ctx, r, hosts, SweepSpec{Sharded: true, Workers: 3})
+			return res, err
+		}},
 	} {
-		want := v.old()
-		got, err := v.new()
+		want, err := v.run(ctx)
 		if err != nil {
 			t.Fatalf("%s: background ctx returned %v", v.name, err)
 		}
+		got, err := v.run(live)
+		if err != nil {
+			t.Fatalf("%s: live ctx returned %v", v.name, err)
+		}
 		if got.Tested != want.Tested || got.Blocked != want.Blocked || got.MaxLinkLoad != want.MaxLinkLoad {
-			t.Fatalf("%s: ctx (%d,%d,%d) vs plain (%d,%d,%d)",
+			t.Fatalf("%s: live ctx (%d,%d,%d) vs background (%d,%d,%d)",
 				v.name, got.Tested, got.Blocked, got.MaxLinkLoad,
 				want.Tested, want.Blocked, want.MaxLinkLoad)
 		}
@@ -103,11 +117,13 @@ func TestSweepCtxPreCancelled(t *testing.T) {
 		name string
 		run  func() (*SweepResult, error)
 	}{
-		{"exhaustive", func() (*SweepResult, error) { return SweepExhaustiveCtx(ctx, r, hosts) }},
-		{"first-blocked", func() (*SweepResult, error) { return SweepExhaustiveFirstBlockedCtx(ctx, r, hosts) }},
-		{"oracle", func() (*SweepResult, error) { return SweepExhaustiveOracleCtx(ctx, r, hosts) }},
+		{"exhaustive", func() (*SweepResult, error) { return sweepCtx(ctx, r, hosts, SweepSpec{}) }},
+		{"first-blocked", func() (*SweepResult, error) { return sweepCtx(ctx, r, hosts, SweepSpec{FirstBlocked: true}) }},
+		{"oracle", func() (*SweepResult, error) { return sweepCtx(ctx, oracle(r), hosts, SweepSpec{}) }},
 		{"random", func() (*SweepResult, error) { return SweepRandomCtx(ctx, r, hosts, 1000, 1) }},
-		{"parallel", func() (*SweepResult, error) { return SweepExhaustiveParallelCtx(ctx, r, hosts, 4) }},
+		{"parallel", func() (*SweepResult, error) { return sweepCtx(ctx, r, hosts, SweepSpec{Sharded: true, Workers: 4}) }},
+		{"sym", func() (*SweepResult, error) { return sweepCtx(ctx, r, hosts, SweepSpec{SymBlock: 2}) }},
+		{"prefix", func() (*SweepResult, error) { return sweepCtx(ctx, r, hosts, SweepSpec{Prefix: []int{1}}) }},
 	} {
 		res, err := v.run()
 		if !errors.Is(err, context.Canceled) {
@@ -146,11 +162,11 @@ func TestSweepCtxCancelPrompt(t *testing.T) {
 		run  func(ctx context.Context) (int, error)
 	}{
 		{"exhaustive-delta", func(ctx context.Context) (int, error) {
-			res, err := SweepExhaustiveCtx(ctx, r, hosts)
+			res, err := sweepCtx(ctx, r, hosts, SweepSpec{})
 			return res.Tested, err
 		}},
 		{"exhaustive-oracle", func(ctx context.Context) (int, error) {
-			res, err := SweepExhaustiveOracleCtx(ctx, r, hosts)
+			res, err := sweepCtx(ctx, oracle(r), hosts, SweepSpec{})
 			return res.Tested, err
 		}},
 		{"random", func(ctx context.Context) (int, error) {
@@ -158,11 +174,11 @@ func TestSweepCtxCancelPrompt(t *testing.T) {
 			return res.Tested, err
 		}},
 		{"parallel-delta", func(ctx context.Context) (int, error) {
-			res, err := SweepExhaustiveParallelCtx(ctx, r, hosts, 4)
+			res, err := sweepCtx(ctx, r, hosts, SweepSpec{Sharded: true, Workers: 4})
 			return res.Tested, err
 		}},
 		{"parallel-oracle", func(ctx context.Context) (int, error) {
-			res, err := sweepParallelOracle(ctx, r, hosts, 4, nil)
+			res, err := sweepCtx(ctx, oracle(r), hosts, SweepSpec{Sharded: true, Workers: 4})
 			return res.Tested, err
 		}},
 		{"worst-case", func(ctx context.Context) (int, error) {

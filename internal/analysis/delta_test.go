@@ -1,7 +1,6 @@
 package analysis
 
 import (
-	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -89,8 +88,8 @@ func TestSweepExhaustiveDeltaMatchesOracle(t *testing.T) {
 		if _, err := routing.BuildRouteTable(c.r, c.hosts); err != nil {
 			t.Fatalf("%s: table build failed: %v", c.r.Name(), err)
 		}
-		got := SweepExhaustive(c.r, c.hosts)
-		want := SweepExhaustiveOracle(c.r, c.hosts)
+		got := sweep(t, c.r, c.hosts, SweepSpec{})
+		want := sweep(t, oracle(c.r), c.hosts, SweepSpec{})
 		sameSweepResult(t, c.r.Name(), got, want)
 	}
 }
@@ -179,7 +178,7 @@ func TestDeltaCheckerResetPartialPattern(t *testing.T) {
 }
 
 // erroringAppender routes like its inner router but fails on one pair —
-// exercising the build-failure fallback: SweepExhaustive must degrade to
+// exercising the build-failure fallback: Sweep must degrade to
 // the oracle and report its exact mid-enumeration routing error.
 type erroringAppender struct {
 	inner routing.PairLinkAppender
@@ -210,8 +209,20 @@ func TestSweepExhaustiveErroringRouterFallsBackToOracle(t *testing.T) {
 	if _, err := routing.BuildRouteTable(r, f.Ports()); err == nil {
 		t.Fatal("table build should fail on the injected pair")
 	}
-	got := SweepExhaustive(r, f.Ports())
-	want := SweepExhaustiveOracle(r, f.Ports())
+	got := sweep(t, r, f.Ports(), SweepSpec{})
+	// Reference: the per-pattern Checker over Heap order up to the first
+	// routing failure (the paper routing itself never blocks).
+	want := &SweepResult{}
+	c := NewChecker(nil)
+	permutation.EnumerateFull(f.Ports(), func(p *permutation.Permutation) bool {
+		if err := c.AnalyzePattern(r, p); err != nil {
+			want.RouteErr = fmt.Errorf("analysis: pattern %s: %w", p, err)
+			return false
+		}
+		want.Tested++
+		want.MaxLinkLoad = max(want.MaxLinkLoad, c.MaxLoad())
+		return true
+	})
 	if got.RouteErr == nil {
 		t.Fatal("sweep should surface the injected failure")
 	}
@@ -220,8 +231,8 @@ func TestSweepExhaustiveErroringRouterFallsBackToOracle(t *testing.T) {
 	}
 	sameSweepResult(t, r.Name(), got, want)
 	// Same for the first-blocked and parallel entry points.
-	sameSweepResult(t, r.Name(), SweepExhaustiveFirstBlocked(r, f.Ports()), want)
-	sameSweepResult(t, r.Name(), SweepExhaustiveParallel(r, f.Ports(), 3), &SweepResult{RouteErr: want.RouteErr})
+	sameSweepResult(t, r.Name(), sweep(t, r, f.Ports(), SweepSpec{FirstBlocked: true}), want)
+	sameSweepResult(t, r.Name(), sweep(t, r, f.Ports(), SweepSpec{Sharded: true, Workers: 3}), &SweepResult{RouteErr: want.RouteErr})
 }
 
 func TestSweepExhaustiveFirstBlockedSemantics(t *testing.T) {
@@ -231,18 +242,18 @@ func TestSweepExhaustiveFirstBlockedSemantics(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Nonblocking router: identical to the full sweep.
-	sameSweepResult(t, "paper", SweepExhaustiveFirstBlocked(paper, f.Ports()), SweepExhaustive(paper, f.Ports()))
+	sameSweepResult(t, "paper", sweep(t, paper, f.Ports(), SweepSpec{FirstBlocked: true}), sweep(t, paper, f.Ports(), SweepSpec{}))
 
 	// Blocking routers: exactly one blocked pattern, the same FirstBlocked
 	// as the full sweep, and a Tested count that stops right there. The
 	// examined prefix is enumeration-order, so Tested is the 1-based index
 	// of FirstBlocked in the full enumeration for both engines.
 	for _, c := range deltaRouters(t) {
-		full := SweepExhaustive(c.r, c.hosts)
+		full := sweep(t, c.r, c.hosts, SweepSpec{})
 		if full.Blocked == 0 {
 			continue
 		}
-		fb := SweepExhaustiveFirstBlocked(c.r, c.hosts)
+		fb := sweep(t, c.r, c.hosts, SweepSpec{FirstBlocked: true})
 		if fb.Blocked != 1 {
 			t.Fatalf("%s: Blocked %d, want 1", c.r.Name(), fb.Blocked)
 		}
@@ -256,19 +267,15 @@ func TestSweepExhaustiveFirstBlockedSemantics(t *testing.T) {
 			t.Fatalf("%s: prefix MaxLinkLoad %d exceeds full %d", c.r.Name(), fb.MaxLinkLoad, full.MaxLinkLoad)
 		}
 		// Oracle early-exit agrees field for field.
-		oracle, err := sweepExhaustiveOracle(context.Background(), c.r, c.hosts, true, nil)
-		if err != nil {
-			t.Fatalf("%s: oracle sweep: %v", c.r.Name(), err)
-		}
-		sameSweepResult(t, c.r.Name(), fb, oracle)
+		sameSweepResult(t, c.r.Name(), fb, sweep(t, oracle(c.r), c.hosts, SweepSpec{FirstBlocked: true}))
 	}
 }
 
 func TestSweepExhaustiveParallelDeltaMatchesSequential(t *testing.T) {
 	for _, c := range deltaRouters(t) {
-		seq := SweepExhaustive(c.r, c.hosts)
+		seq := sweep(t, c.r, c.hosts, SweepSpec{})
 		for _, workers := range []int{1, 3, 0} {
-			par := SweepExhaustiveParallel(c.r, c.hosts, workers)
+			par := sweep(t, c.r, c.hosts, SweepSpec{Sharded: true, Workers: workers})
 			if par.Tested != seq.Tested || par.Blocked != seq.Blocked || par.MaxLinkLoad != seq.MaxLinkLoad {
 				t.Fatalf("%s workers=%d: parallel (%d,%d,%d) vs sequential (%d,%d,%d)",
 					c.r.Name(), workers, par.Tested, par.Blocked, par.MaxLinkLoad,

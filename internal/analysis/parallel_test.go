@@ -18,9 +18,9 @@ func TestSweepExhaustiveParallelMatchesSequential(t *testing.T) {
 	}
 	bad := routing.NewDestMod(f)
 	for _, r := range []routing.Router{good, bad} {
-		seq := SweepExhaustive(r, f.Ports())
+		seq := sweep(t, r, f.Ports(), SweepSpec{})
 		for _, workers := range []int{1, 2, 4, 0} {
-			par := SweepExhaustiveParallel(r, f.Ports(), workers)
+			par := sweep(t, r, f.Ports(), SweepSpec{Sharded: true, Workers: workers})
 			if par.Tested != seq.Tested || par.Blocked != seq.Blocked || par.MaxLinkLoad != seq.MaxLinkLoad {
 				t.Fatalf("%s workers=%d: parallel (%d,%d,%d) vs sequential (%d,%d,%d)",
 					r.Name(), workers, par.Tested, par.Blocked, par.MaxLinkLoad,
@@ -39,7 +39,7 @@ func TestSweepExhaustiveParallelTinyAndErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := SweepExhaustiveParallel(r, f.Ports(), 4)
+	res := sweep(t, r, f.Ports(), SweepSpec{Sharded: true, Workers: 4})
 	if res.Tested != 1 {
 		t.Fatalf("hosts=1: tested %d", res.Tested)
 	}
@@ -49,7 +49,7 @@ func TestSweepExhaustiveParallelTinyAndErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := SweepExhaustiveParallel(ad, tiny.Ports(), 3)
+	out := sweep(t, ad, tiny.Ports(), SweepSpec{Sharded: true, Workers: 3})
 	if out.RouteErr == nil {
 		t.Fatal("expected route error")
 	}
@@ -77,7 +77,7 @@ func (r *failingRouter) Route(p *permutation.Permutation) (*routing.Assignment, 
 
 // TestSweepExhaustiveParallelErrorPathDeterministic is the regression test
 // for the racy error path: a parallel sweep hitting a routing failure must
-// report the same (sequential-order first) error as SweepExhaustive and
+// report the same (sequential-order first) error as the whole-space Sweep and
 // zeroed statistics, identically across worker counts and repeated runs.
 func TestSweepExhaustiveParallelErrorPathDeterministic(t *testing.T) {
 	f := topology.NewFoldedClos(2, 4, 3)
@@ -86,13 +86,13 @@ func TestSweepExhaustiveParallelErrorPathDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := &failingRouter{inner: good, failDst: 2}
-	seq := SweepExhaustive(r, f.Ports())
+	seq := sweep(t, r, f.Ports(), SweepSpec{})
 	if seq.RouteErr == nil {
 		t.Fatal("sequential sweep should hit the injected failure")
 	}
 	for _, workers := range []int{1, 2, 4, 8, 0} {
 		for rep := 0; rep < 5; rep++ {
-			par := SweepExhaustiveParallel(r, f.Ports(), workers)
+			par := sweep(t, r, f.Ports(), SweepSpec{Sharded: true, Workers: workers})
 			if par.RouteErr == nil || par.RouteErr.Error() != seq.RouteErr.Error() {
 				t.Fatalf("workers=%d rep=%d: RouteErr %v, want %v", workers, rep, par.RouteErr, seq.RouteErr)
 			}

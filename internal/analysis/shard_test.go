@@ -38,12 +38,12 @@ func TestSweepShardMergeMatchesParallel(t *testing.T) {
 		{ad, wide.Ports()}, // pattern-dependent: oracle engine
 	} {
 		r, hosts := tc.r, tc.hosts
-		want := SweepExhaustiveParallel(r, hosts, 4)
+		want := sweep(t, r, hosts, SweepSpec{Sharded: true, Workers: 4})
 		for _, minShards := range []int{1, hosts, hosts + 1, hosts * (hosts - 1)} {
 			shards := permutation.PrefixShards(hosts, minShards)
 			results := make([]SweepResult, len(shards))
 			for i, pfx := range shards {
-				res, err := SweepShardCtx(ctx, r, hosts, pfx, nil)
+				res, err := sweepCtx(ctx, r, hosts, SweepSpec{Prefix: pfx})
 				if err != nil {
 					t.Fatalf("%s shard %v: %v", r.Name(), pfx, err)
 				}
@@ -73,7 +73,7 @@ func TestSweepShardMergeMatchesParallel(t *testing.T) {
 						break
 					}
 				}
-				fb, err := SweepShardFirstBlockedCtx(ctx, r, hosts, []int{top}, nil)
+				fb, err := sweepCtx(ctx, r, hosts, SweepSpec{Prefix: []int{top}, FirstBlocked: true})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -87,9 +87,9 @@ func TestSweepShardMergeMatchesParallel(t *testing.T) {
 }
 
 // TestSweepShardRouteErr: a shard hitting a routing failure reports it in
-// the result (not the returned error), the merge surfaces it, and
-// SweepFirstRouteErr re-derives exactly the canonical error the parallel
-// sweep reports.
+// the result (not the returned error), the merge surfaces it, and a
+// whole-space Sweep keeping only RouteErr — the coordinator's re-derivation
+// — yields exactly the canonical error the parallel sweep reports.
 func TestSweepShardRouteErr(t *testing.T) {
 	tiny := topology.NewFoldedClos(2, 1, 3) // m=1: adaptive routing fails
 	ad, err := routing.NewNonblockingAdaptive(tiny)
@@ -101,7 +101,7 @@ func TestSweepShardRouteErr(t *testing.T) {
 	results := make([]SweepResult, len(shards))
 	sawErr := false
 	for i, pfx := range shards {
-		res, err := SweepShardCtx(context.Background(), ad, hosts, pfx, nil)
+		res, err := sweepCtx(context.Background(), ad, hosts, SweepSpec{Prefix: pfx})
 		if err != nil {
 			t.Fatalf("shard %v: transport-level err %v", pfx, err)
 		}
@@ -114,13 +114,13 @@ func TestSweepShardRouteErr(t *testing.T) {
 	if MergeShardSweeps(results).RouteErr == nil {
 		t.Fatal("merge dropped the routing failure")
 	}
-	want := SweepExhaustiveParallel(ad, hosts, 4)
-	got := SweepFirstRouteErr(ad, hosts)
+	want := sweep(t, ad, hosts, SweepSpec{Sharded: true, Workers: 4})
+	got := &SweepResult{RouteErr: sweep(t, ad, hosts, SweepSpec{}).RouteErr}
 	if got.RouteErr == nil || got.RouteErr.Error() != want.RouteErr.Error() {
 		t.Fatalf("re-derived %v, parallel %v", got.RouteErr, want.RouteErr)
 	}
-	if got.Tested != 0 || got.Blocked != 0 || got.MaxLinkLoad != 0 {
-		t.Fatalf("canonical error result carries statistics: %+v", got)
+	if want.Tested != 0 || want.Blocked != 0 || want.MaxLinkLoad != 0 {
+		t.Fatalf("parallel routing-failure result carries statistics: %+v", want)
 	}
 }
 
@@ -134,7 +134,7 @@ func TestSweepShardInvalidPrefix(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, pfx := range [][]int{{-1}, {f.Ports()}, {0, f.Ports() + 3}} {
-		if _, err := SweepShardCtx(context.Background(), r, f.Ports(), pfx, nil); err == nil {
+		if _, err := sweepCtx(context.Background(), r, f.Ports(), SweepSpec{Prefix: pfx}); err == nil {
 			t.Fatalf("prefix %v accepted", pfx)
 		}
 	}
@@ -154,13 +154,13 @@ func TestProgressDeltasSumToCounters(t *testing.T) {
 		run  func(fn ProgressFunc) (*SweepResult, error)
 	}{
 		{"sequential", func(fn ProgressFunc) (*SweepResult, error) {
-			return SweepExhaustiveProgressCtx(ctx, bad, hosts, fn)
+			return sweepCtx(ctx, bad, hosts, SweepSpec{Progress: fn})
 		}},
 		{"parallel", func(fn ProgressFunc) (*SweepResult, error) {
-			return SweepExhaustiveParallelProgressCtx(ctx, bad, hosts, 3, fn)
+			return sweepCtx(ctx, bad, hosts, SweepSpec{Sharded: true, Workers: 3, Progress: fn})
 		}},
 		{"shard", func(fn ProgressFunc) (*SweepResult, error) {
-			return SweepShardCtx(ctx, bad, hosts, []int{2}, fn)
+			return sweepCtx(ctx, bad, hosts, SweepSpec{Prefix: []int{2}, Progress: fn})
 		}},
 	} {
 		var tested, blocked, calls atomic.Int64

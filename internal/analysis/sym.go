@@ -1,7 +1,6 @@
 package analysis
 
 import (
-	"context"
 	"fmt"
 	"sort"
 
@@ -14,15 +13,16 @@ import (
 // relabelings (permutation.BlockSymmetry, the wreath product S_b ≀ S_r of
 // within-switch and whole-switch permutations) conjugate permutation
 // patterns into orbits along which every contention quantity is constant —
-// provided the routing cooperates. The engines here sweep one canonical
-// representative per orbit with the CSR delta checker, scale the counters
-// by orbit size, and re-derive order-sensitive fields (FirstBlocked) by a
-// targeted scan in the full engine's own enumeration order, so the
-// SweepResult is byte-identical to the corresponding full sweep wherever
-// both can run. When the symmetry argument does not hold — infeasible
-// geometry, pattern-dependent routing, or a route table that fails the
-// equivariance certificate — they fall back to the full engine, again
-// byte-identically.
+// provided the routing cooperates. A Sweep with SymBlock set (sweepSym in
+// sweep.go) sweeps one canonical representative per orbit with the CSR
+// delta checker, scales the counters by orbit size, and re-derives
+// order-sensitive fields (FirstBlocked) by a targeted scan in the full
+// engine's own enumeration order, so the SweepResult is byte-identical to
+// the corresponding full sweep wherever both can run. When the symmetry
+// argument does not hold — infeasible geometry, pattern-dependent routing,
+// or a route table that fails the equivariance certificate — it falls
+// back to the full engine, again byte-identically. This file holds the
+// applicability gates and the equivariance certificate.
 //
 // Soundness rests on a per-pattern load-transport argument: if for a host
 // relabeling g there is a link bijection λ with T(g·s, g·d) = λ(T(s, d))
@@ -48,70 +48,6 @@ type SymStats struct {
 	GroupOrder int
 }
 
-// SweepExhaustiveSym is SweepExhaustive reduced over the block symmetry
-// group of a fabric with blockSize hosts per bottom switch: byte-identical
-// result, hosts!/#orbits times fewer patterns routed. When the reduction
-// does not apply the full engine runs instead (stats.Reason says why).
-func SweepExhaustiveSym(r routing.Router, hosts, blockSize int) (*SweepResult, *SymStats) {
-	res, stats, _ := sweepExhaustiveSym(context.Background(), r, hosts, blockSize, false, false, 0, nil)
-	return res, stats
-}
-
-// SweepExhaustiveSymCtx is SweepExhaustiveSym with cooperative
-// cancellation (see SweepExhaustiveCtx for the contract).
-func SweepExhaustiveSymCtx(ctx context.Context, r routing.Router, hosts, blockSize int) (*SweepResult, *SymStats, error) {
-	return sweepExhaustiveSym(ctx, r, hosts, blockSize, false, false, 0, nil)
-}
-
-// SweepExhaustiveSymFirstBlocked is SweepExhaustiveFirstBlocked with
-// symmetry reduction. A nonblocking router is certified entirely from
-// representatives; a blocking one pays one early-exit scan in Heap order
-// to reproduce the full engine's examined-prefix counters exactly.
-func SweepExhaustiveSymFirstBlocked(r routing.Router, hosts, blockSize int) (*SweepResult, *SymStats) {
-	res, stats, _ := sweepExhaustiveSym(context.Background(), r, hosts, blockSize, true, false, 0, nil)
-	return res, stats
-}
-
-// SweepExhaustiveSymFirstBlockedCtx is SweepExhaustiveSymFirstBlocked
-// with cooperative cancellation.
-func SweepExhaustiveSymFirstBlockedCtx(ctx context.Context, r routing.Router, hosts, blockSize int) (*SweepResult, *SymStats, error) {
-	return sweepExhaustiveSym(ctx, r, hosts, blockSize, true, false, 0, nil)
-}
-
-// SweepExhaustiveSymParallelProgressCtx matches
-// SweepExhaustiveParallelProgressCtx byte-for-byte: counters are the full
-// parallel sweep's, and FirstBlocked is re-derived in the parallel merge
-// order (first blocked pattern of the lowest-numbered level-1 prefix
-// shard). The representative sweep itself is sequential — it is orders of
-// magnitude smaller than the full sweep — so workers only feeds the
-// fallback engine. fn receives orbit-scaled tested/blocked deltas that sum
-// to the final counters.
-func SweepExhaustiveSymParallelProgressCtx(ctx context.Context, r routing.Router, hosts, blockSize, workers int, fn ProgressFunc) (*SweepResult, *SymStats, error) {
-	return sweepExhaustiveSym(ctx, r, hosts, blockSize, false, true, workers, fn)
-}
-
-// SweepSymShardCtx sweeps one contiguous shard of the orbit enumeration —
-// the orbits whose top-level necklace index falls in [lo, hi), per
-// permutation.BlockSymmetry.Shards — scaling counters by orbit size.
-// FirstBlocked is the shard's first blocked representative, which only
-// signals blockedness: a coordinator merging sym shards must re-derive
-// the full-order witness itself (SweepSymWitness). Unlike the prefix
-// shard sweep, inapplicability here is a returned error, not a fallback —
-// a coordinator plans sym shards only after proving applicability, so a
-// worker that disagrees is misconfigured and must say so loudly.
-func SweepSymShardCtx(ctx context.Context, r routing.Router, hosts, blockSize, lo, hi int, fn ProgressFunc) (*SweepResult, *SymStats, error) {
-	res := &SweepResult{}
-	if err := ctx.Err(); err != nil {
-		return res, &SymStats{}, err
-	}
-	sym, table, stats, err := prepareSym(r, hosts, blockSize)
-	if err != nil {
-		return res, stats, err
-	}
-	err = sweepSymOrbits(ctx, sym, table, res, stats, fn, lo, hi, false)
-	return res, stats, err
-}
-
 // SymApplicable reports whether a symmetry-reduced sweep would actually
 // reduce (geometry feasible, route table cacheable, routing equivariant)
 // without running anything. Coordinators call this before planning sym
@@ -120,31 +56,6 @@ func SweepSymShardCtx(ctx context.Context, r routing.Router, hosts, blockSize, l
 func SymApplicable(r routing.Router, hosts, blockSize int) *SymStats {
 	_, _, stats, _ := prepareSym(r, hosts, blockSize)
 	return stats
-}
-
-// SweepSymWitness re-derives the FirstBlocked witness a full sweep would
-// report, in the requested order: parallel order (first blocked pattern
-// of the lowest-numbered level-1 prefix shard — what
-// SweepExhaustiveParallel's merge yields) or sequential Heap order. Call
-// it only when the sweep is known blocked, so the early-exit scan
-// terminates at the witness. Exported for the distributed coordinator,
-// which merges sym shard counters and must then attach the same witness a
-// single-node sweep would.
-func SweepSymWitness(ctx context.Context, r routing.Router, hosts int, parallelOrder bool) (*permutation.Permutation, error) {
-	if !parallelOrder {
-		res, err := sweepExhaustiveDelta(ctx, r, hosts, true, nil)
-		return res.FirstBlocked, err
-	}
-	for shard := 0; shard < hosts; shard++ {
-		res, err := SweepShardFirstBlockedCtx(ctx, r, hosts, []int{shard}, nil)
-		if err != nil {
-			return nil, err
-		}
-		if res.FirstBlocked != nil {
-			return res.FirstBlocked, nil
-		}
-	}
-	return nil, nil
 }
 
 // prepareSym runs the three applicability gates and returns the symmetry
@@ -173,96 +84,6 @@ func prepareSym(r routing.Router, hosts, blockSize int) (*permutation.BlockSymme
 	}
 	stats.Applied = true
 	return sym, table, stats, nil
-}
-
-// sweepSymOrbits drives the delta checker over the representatives in
-// [lo, hi), accumulating orbit-scaled counters into res. FirstBlocked is
-// set to the first blocked representative. firstOnly stops at it.
-func sweepSymOrbits(ctx context.Context, sym *permutation.BlockSymmetry, table *routing.RouteTable, res *SweepResult, stats *SymStats, fn ProgressFunc, lo, hi int, firstOnly bool) error {
-	d := NewDeltaChecker(table)
-	cancel := newSweepCanceller(ctx)
-	prog := progressMeter{fn: fn}
-	cancelled := false
-	sym.OrbitsRange(lo, hi, func(rep *permutation.Permutation, orbit int) bool {
-		if cancel.cancelled() {
-			cancelled = true
-			return false
-		}
-		d.Reset(rep)
-		stats.Orbits++
-		res.Tested += orbit
-		if d.MaxLoad() > res.MaxLinkLoad {
-			res.MaxLinkLoad = d.MaxLoad()
-		}
-		if d.HasContention() {
-			res.Blocked += orbit
-			if res.FirstBlocked == nil {
-				// The enumerator reuses rep between orbits; retain a copy.
-				res.FirstBlocked = rep.Clone()
-			}
-			if firstOnly {
-				return false
-			}
-		}
-		prog.step(res.Tested, res.Blocked)
-		return true
-	})
-	prog.flush(res.Tested, res.Blocked)
-	if cancelled {
-		return ctx.Err()
-	}
-	return nil
-}
-
-func sweepExhaustiveSym(ctx context.Context, r routing.Router, hosts, blockSize int, firstOnly, parallelWitness bool, workers int, fn ProgressFunc) (*SweepResult, *SymStats, error) {
-	if err := ctx.Err(); err != nil {
-		return &SweepResult{}, &SymStats{}, err
-	}
-	sym, table, stats, _ := prepareSym(r, hosts, blockSize)
-	if !stats.Applied {
-		res, ferr := symFallback(ctx, r, hosts, firstOnly, parallelWitness, workers, fn)
-		return res, stats, ferr
-	}
-	res := &SweepResult{}
-	if err := sweepSymOrbits(ctx, sym, table, res, stats, fn, 0, sym.NecklaceCount(), firstOnly); err != nil {
-		return res, stats, err
-	}
-	if !firstOnly && res.Tested != permutation.CountFull(hosts) {
-		// Defensive: the orbit enumeration failed to partition the space.
-		// The counting property is heavily tested, so this is unreachable,
-		// but a wrong certificate must never be served — discard and run
-		// the full engine.
-		stats.Applied = false
-		stats.Reason = fmt.Sprintf("internal orbit-count mismatch: %d != %d!", res.Tested, hosts)
-		res, ferr := symFallback(ctx, r, hosts, firstOnly, parallelWitness, workers, nil)
-		return res, stats, ferr
-	}
-	if res.Blocked == 0 {
-		return res, stats, nil
-	}
-	// Blocked: order-sensitive fields come from the full engine's own
-	// enumeration order. In firstOnly mode the whole result does — the
-	// full engine's examined prefix (Tested, MaxLinkLoad) is not derivable
-	// from orbits — and the scan early-exits at the first blocked pattern,
-	// whose existence the orbit sweep just proved.
-	if firstOnly {
-		fres, ferr := sweepExhaustiveDelta(ctx, r, hosts, true, nil)
-		return fres, stats, ferr
-	}
-	w, werr := SweepSymWitness(ctx, r, hosts, parallelWitness)
-	if werr != nil {
-		return res, stats, werr
-	}
-	res.FirstBlocked = w
-	return res, stats, nil
-}
-
-// symFallback runs the full engine matching the caller's requested shape.
-func symFallback(ctx context.Context, r routing.Router, hosts int, firstOnly, parallel bool, workers int, fn ProgressFunc) (*SweepResult, error) {
-	if parallel {
-		return sweepExhaustiveParallel(ctx, r, hosts, workers, fn)
-	}
-	return sweepExhaustiveDelta(ctx, r, hosts, firstOnly, fn)
 }
 
 // routeTableEquivariant checks, for every generator g, that relabeling

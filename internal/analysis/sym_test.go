@@ -71,8 +71,8 @@ func symRouters(t *testing.T) []symCase {
 // sweep's result equals the scratch oracle's in every field.
 func TestSweepExhaustiveSymMatchesOracle(t *testing.T) {
 	for _, c := range symRouters(t) {
-		want := SweepExhaustiveOracle(c.r, c.hosts)
-		got, stats := SweepExhaustiveSym(c.r, c.hosts, c.blockSize)
+		want := sweep(t, oracle(c.r), c.hosts, SweepSpec{})
+		got, stats := symSweep(t, c.r, c.hosts, SweepSpec{SymBlock: c.blockSize})
 		sameSweepResult(t, c.name, got, want)
 		if stats.Applied && stats.Orbits == 0 && c.hosts > 0 {
 			t.Fatalf("%s: applied with zero orbits", c.name)
@@ -80,8 +80,8 @@ func TestSweepExhaustiveSymMatchesOracle(t *testing.T) {
 		if !stats.Applied && stats.Reason == "" {
 			t.Fatalf("%s: fallback without a reason", c.name)
 		}
-		wantFB := SweepExhaustiveFirstBlocked(c.r, c.hosts)
-		gotFB, _ := SweepExhaustiveSymFirstBlocked(c.r, c.hosts, c.blockSize)
+		wantFB := sweep(t, c.r, c.hosts, SweepSpec{FirstBlocked: true})
+		gotFB, _ := symSweep(t, c.r, c.hosts, SweepSpec{SymBlock: c.blockSize, FirstBlocked: true})
 		sameSweepResult(t, c.name+"/first-blocked", gotFB, wantFB)
 	}
 }
@@ -91,8 +91,8 @@ func TestSweepExhaustiveSymMatchesOracle(t *testing.T) {
 // from the lowest level-1 prefix shard rather than Heap order.
 func TestSweepExhaustiveSymParallelOrder(t *testing.T) {
 	for _, c := range symRouters(t) {
-		want := SweepExhaustiveParallel(c.r, c.hosts, 4)
-		got, _, err := SweepExhaustiveSymParallelProgressCtx(context.Background(), c.r, c.hosts, c.blockSize, 4, nil)
+		want := sweep(t, c.r, c.hosts, SweepSpec{Sharded: true, Workers: 4})
+		got, _, err := Sweep(context.Background(), c.r, c.hosts, SweepSpec{SymBlock: c.blockSize, Sharded: true, Workers: 4})
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
@@ -125,10 +125,10 @@ func TestSymProgressSumsToCounters(t *testing.T) {
 	f := topology.NewFoldedClos(2, 3, 3)
 	for _, r := range []routing.Router{routing.NewFullSpray(f), routing.NewRandomFixed(f, 3)} {
 		tested, blocked := 0, 0
-		res, _, err := SweepExhaustiveSymParallelProgressCtx(context.Background(), r, f.Ports(), 2, 1, func(dt, db int) {
+		res, _, err := Sweep(context.Background(), r, f.Ports(), SweepSpec{SymBlock: 2, Sharded: true, Workers: 1, Progress: func(dt, db int) {
 			tested += dt
 			blocked += db
-		})
+		}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -158,7 +158,7 @@ func TestSweepSymShardParity(t *testing.T) {
 		merged := &SweepResult{}
 		orbits := 0
 		for _, sh := range sym.Shards(3) {
-			res, stats, err := SweepSymShardCtx(ctx, r, hosts, tc.blockSize, sh[0], sh[1], nil)
+			res, stats, err := Sweep(ctx, r, hosts, SweepSpec{SymBlock: tc.blockSize, Orbits: []int{sh[0], sh[1]}})
 			if err != nil {
 				t.Fatalf("shard %v: %v", sh, err)
 			}
@@ -169,7 +169,7 @@ func TestSweepSymShardParity(t *testing.T) {
 				merged.MaxLinkLoad = res.MaxLinkLoad
 			}
 		}
-		full, stats := SweepExhaustiveSym(r, hosts, tc.blockSize)
+		full, stats := symSweep(t, r, hosts, SweepSpec{SymBlock: tc.blockSize})
 		if !stats.Applied {
 			t.Fatalf("spray fell back: %s", stats.Reason)
 		}
@@ -179,11 +179,8 @@ func TestSweepSymShardParity(t *testing.T) {
 				full.Tested, full.Blocked, full.MaxLinkLoad, stats.Orbits)
 		}
 		if merged.Blocked > 0 {
-			w, err := SweepSymWitness(ctx, r, hosts, true)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := SweepExhaustiveParallel(r, hosts, 4)
+			w := sweep(t, r, hosts, SweepSpec{Sharded: true, FirstBlocked: true}).FirstBlocked
+			want := sweep(t, r, hosts, SweepSpec{Sharded: true, Workers: 4})
 			if w == nil || !w.Equal(want.FirstBlocked) {
 				t.Fatalf("re-derived witness %s != parallel witness %s", w, want.FirstBlocked)
 			}
@@ -196,7 +193,7 @@ func TestSweepSymShardParity(t *testing.T) {
 // inapplicable router must error rather than silently fall back.
 func TestSweepSymShardRejectsInapplicable(t *testing.T) {
 	f := topology.NewFoldedClos(2, 2, 4)
-	if _, _, err := SweepSymShardCtx(context.Background(), routing.NewRandomFixed(f, 1), f.Ports(), 2, 0, 1, nil); err == nil {
+	if _, _, err := Sweep(context.Background(), routing.NewRandomFixed(f, 1), f.Ports(), SweepSpec{SymBlock: 2, Orbits: []int{0, 1}}); err == nil {
 		t.Fatal("inapplicable sym shard did not error")
 	}
 }
@@ -207,8 +204,8 @@ func TestSweepSymShardRejectsInapplicable(t *testing.T) {
 func TestSymMatchesDeltaAtNine(t *testing.T) {
 	f := topology.NewFoldedClos(3, 5, 3) // 9 hosts, m = 2n-1: nonblocking spray fabric
 	r := routing.NewFullSpray(f)
-	want := SweepExhaustive(r, f.Ports())
-	got, stats := SweepExhaustiveSym(r, f.Ports(), 3)
+	want := sweep(t, r, f.Ports(), SweepSpec{})
+	got, stats := symSweep(t, r, f.Ports(), SweepSpec{SymBlock: 3})
 	sameSweepResult(t, "spray-n9", got, want)
 	if !stats.Applied {
 		t.Fatalf("sym fell back at n=9: %s", stats.Reason)
@@ -224,7 +221,7 @@ func TestSymCancellation(t *testing.T) {
 	f := topology.NewFoldedClos(2, 3, 3)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, err := SweepExhaustiveSymCtx(ctx, routing.NewFullSpray(f), f.Ports(), 2); err == nil {
+	if _, _, err := Sweep(ctx, routing.NewFullSpray(f), f.Ports(), SweepSpec{SymBlock: 2}); err == nil {
 		t.Fatal("cancelled sym sweep returned nil error")
 	}
 }

@@ -7,6 +7,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/analysis"
@@ -130,19 +131,18 @@ func (s *System) Verify(maxExhaustive, randomTrials int, seed int64) (*VerifyRep
 		}
 		return rep, nil
 	}
+	// Neither sweep can fail under a background context: routing failures
+	// are data (RouteErr), reported below.
+	ctx := context.Background()
+	var res *analysis.SweepResult
+	rep := &VerifyReport{Method: "random-sweep"}
 	if s.Ports() <= maxExhaustive {
-		res := analysis.SweepExhaustive(s.Router, s.Ports())
-		rep := &VerifyReport{Method: "exhaustive-sweep", Nonblocking: res.Nonblocking(), PatternsTested: res.Tested}
-		if res.FirstBlocked != nil {
-			rep.Detail = fmt.Sprintf("blocking permutation: %s", res.FirstBlocked)
-		}
-		if res.RouteErr != nil {
-			rep.Detail = res.RouteErr.Error()
-		}
-		return rep, nil
+		rep.Method = "exhaustive-sweep"
+		res, _, _ = analysis.Sweep(ctx, s.Router, s.Ports(), analysis.SweepSpec{})
+	} else {
+		res, _ = analysis.SweepRandomCtx(ctx, s.Router, s.Ports(), randomTrials, seed)
 	}
-	res := analysis.SweepRandom(s.Router, s.Ports(), randomTrials, seed)
-	rep := &VerifyReport{Method: "random-sweep", Nonblocking: res.Nonblocking(), PatternsTested: res.Tested}
+	rep.Nonblocking, rep.PatternsTested = res.Nonblocking(), res.Tested
 	if res.FirstBlocked != nil {
 		rep.Detail = fmt.Sprintf("blocking permutation: %s", res.FirstBlocked)
 	}

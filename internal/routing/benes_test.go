@@ -1,6 +1,7 @@
 package routing_test
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -37,7 +38,7 @@ func TestBenesLoopingExhaustive(t *testing.T) {
 	for k := 1; k <= 3; k++ {
 		b := topology.NewBenes(k)
 		r := routing.NewBenesLooping(b)
-		res := analysis.SweepExhaustive(r, b.N)
+		res, _, _ := analysis.Sweep(context.Background(), r, b.N, analysis.SweepSpec{})
 		if !res.Nonblocking() {
 			t.Fatalf("k=%d: looping blocked %d/%d (err %v); first %v",
 				k, res.Blocked, res.Tested, res.RouteErr, res.FirstBlocked)

@@ -1,6 +1,7 @@
 package routing_test
 
 import (
+	"context"
 	"math/rand"
 	"strings"
 	"testing"
@@ -42,7 +43,7 @@ func TestTheorem3ExhaustiveSmall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := analysis.SweepExhaustive(r, f.Ports())
+	res, _, _ := analysis.Sweep(context.Background(), r, f.Ports(), analysis.SweepSpec{})
 	if !res.Nonblocking() {
 		t.Fatalf("blocked %d of %d permutations; first: %v (err %v)", res.Blocked, res.Tested, res.FirstBlocked, res.RouteErr)
 	}
@@ -57,7 +58,7 @@ func TestTheorem3RandomSweepLarger(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := analysis.SweepRandom(r, f.Ports(), 200, 1)
+	res, _ := analysis.SweepRandomCtx(context.Background(), r, f.Ports(), 200, 1)
 	if !res.Nonblocking() {
 		t.Fatalf("blocked %d of %d patterns; first: %v (err %v)", res.Blocked, res.Tested, res.FirstBlocked, res.RouteErr)
 	}
@@ -362,7 +363,7 @@ func TestAdaptiveNonblockingExhaustive(t *testing.T) {
 	if r.C != 2 {
 		t.Fatalf("c = %d, want 2", r.C)
 	}
-	res := analysis.SweepExhaustive(r, f.Ports())
+	res, _, _ := analysis.Sweep(context.Background(), r, f.Ports(), analysis.SweepSpec{})
 	if !res.Nonblocking() {
 		t.Fatalf("blocked %d/%d; first %v (err %v)", res.Blocked, res.Tested, res.FirstBlocked, res.RouteErr)
 	}
@@ -406,7 +407,7 @@ func TestAdaptiveNonblockingExhaustiveC1(t *testing.T) {
 	if r.C != 1 {
 		t.Fatalf("c = %d, want 1", r.C)
 	}
-	res := analysis.SweepExhaustiveParallel(r, f.Ports(), 0)
+	res, _, _ := analysis.Sweep(context.Background(), r, f.Ports(), analysis.SweepSpec{Sharded: true})
 	if !res.Nonblocking() {
 		t.Fatalf("blocked %d/%d; first %v (err %v)", res.Blocked, res.Tested, res.FirstBlocked, res.RouteErr)
 	}
@@ -427,7 +428,7 @@ func TestAdaptiveNonblockingC3(t *testing.T) {
 	if r.C != 3 {
 		t.Fatalf("c = %d, want 3", r.C)
 	}
-	res := analysis.SweepRandom(r, f.Ports(), 300, 13)
+	res, _ := analysis.SweepRandomCtx(context.Background(), r, f.Ports(), 300, 13)
 	if !res.Nonblocking() {
 		t.Fatalf("blocked %d/%d; first %v (err %v)", res.Blocked, res.Tested, res.FirstBlocked, res.RouteErr)
 	}
@@ -439,7 +440,7 @@ func TestAdaptiveRandomSweepLarger(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := analysis.SweepRandom(r, f.Ports(), 100, 3)
+	res, _ := analysis.SweepRandomCtx(context.Background(), r, f.Ports(), 100, 3)
 	if !res.Nonblocking() {
 		t.Fatalf("blocked %d/%d; first %v (err %v)", res.Blocked, res.Tested, res.FirstBlocked, res.RouteErr)
 	}
@@ -584,7 +585,7 @@ func TestAdaptiveFirstFitUsesMoreConfigs(t *testing.T) {
 func TestGreedyLocalNotNonblocking(t *testing.T) {
 	f := topology.NewFoldedClos(2, 4, 5)
 	r := routing.NewGreedyLocal(f)
-	res := analysis.SweepRandom(r, f.Ports(), 300, 11)
+	res, _ := analysis.SweepRandomCtx(context.Background(), r, f.Ports(), 300, 11)
 	if res.RouteErr != nil {
 		t.Fatal(res.RouteErr)
 	}

@@ -188,3 +188,55 @@ func TestEnqueueCloseRace(t *testing.T) {
 		}
 	}
 }
+
+// TestSweepRegistryBounded: the job registry keeps at most CacheEntries
+// finished sweeps, evicting the oldest first, so a long-running server
+// holds bounded job state. The newest jobs still answer; an evicted ID
+// answers 404 with a hint to re-POST for the stored result.
+func TestSweepRegistryBounded(t *testing.T) {
+	const bound = 3
+	s := New(Config{Workers: 2, QueueDepth: 8, CacheEntries: bound})
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	var ids []string
+	for i := 0; i < 2*bound+1; i++ {
+		q := api.Request{N: 2, M: 4, R: 2, Routing: "paper", NoCache: true}
+		acc := postSweep(t, ts.URL, &q)
+		if st := waitSweep(t, ts.URL, acc.JobID); st.State != "done" {
+			t.Fatalf("sweep %s: state %q (%s)", acc.JobID, st.State, st.Error)
+		}
+		ids = append(ids, acc.JobID)
+	}
+	s.sweepWg.Wait() // every runner has pruned on its way out
+	s.sweepMu.Lock()
+	held, ordered := len(s.sweeps), len(s.sweepOrder)
+	s.sweepMu.Unlock()
+	if held != bound || ordered != bound {
+		t.Fatalf("registry holds %d jobs (%d ordered) after %d sweeps, want %d", held, ordered, len(ids), bound)
+	}
+	for _, id := range ids[len(ids)-bound:] {
+		resp, err := http.Get(ts.URL + "/v1/jobs/" + id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("newest job %s: status %d", id, resp.StatusCode)
+		}
+	}
+	resp, err := http.Get(ts.URL + "/v1/jobs/" + ids[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	var er api.ErrorReport
+	err = json.NewDecoder(resp.Body).Decode(&er)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusNotFound || !strings.Contains(er.Error, "re-POST") {
+		t.Fatalf("evicted job %s: status %d, error %q", ids[0], resp.StatusCode, er.Error)
+	}
+}

@@ -180,6 +180,21 @@ func symBlockSize(q *api.Request, t *target) int {
 	return q.Ports / 2
 }
 
+// sweepSpec maps a verify request in an exhaustive mode to its Sweep:
+// exhaustive-parallel is the Sharded engine on q.Workers (first_blocked
+// applies to the sequential engine only), and sym_reduce reduces over the
+// fabric's hosts-per-bottom-switch block.
+func sweepSpec(q *api.Request, t *target, mode string) analysis.SweepSpec {
+	spec := analysis.SweepSpec{FirstBlocked: q.FirstBlocked}
+	if mode == "exhaustive-parallel" {
+		spec = analysis.SweepSpec{Sharded: true, Workers: q.Workers}
+	}
+	if q.SymReduce {
+		spec.SymBlock = symBlockSize(q, t)
+	}
+	return spec
+}
+
 // runVerify answers POST /v1/verify: the nbverify decision procedure with
 // cancellation. Mode auto uses the exact Lemma-1 analysis for single-path
 // routers, an exhaustive sweep up to max_exhaustive hosts, and the
@@ -228,30 +243,13 @@ func runVerify(ctx context.Context, q *api.Request) (any, error) {
 
 	var res *analysis.SweepResult
 	switch mode {
-	case "exhaustive":
-		if q.FirstBlocked {
+	case "exhaustive", "exhaustive-parallel":
+		spec := sweepSpec(q, t, mode)
+		rep.Method, rep.Exact = mode, true
+		if spec.FirstBlocked {
 			rep.Method = "exhaustive-first-blocked"
-			if q.SymReduce {
-				res, _, err = analysis.SweepExhaustiveSymFirstBlockedCtx(ctx, t.router, t.hosts, symBlockSize(q, t))
-			} else {
-				res, err = analysis.SweepExhaustiveFirstBlockedCtx(ctx, t.router, t.hosts)
-			}
-		} else {
-			rep.Method = "exhaustive"
-			if q.SymReduce {
-				res, _, err = analysis.SweepExhaustiveSymCtx(ctx, t.router, t.hosts, symBlockSize(q, t))
-			} else {
-				res, err = analysis.SweepExhaustiveCtx(ctx, t.router, t.hosts)
-			}
 		}
-		rep.Exact = true
-	case "exhaustive-parallel":
-		rep.Method, rep.Exact = "exhaustive-parallel", true
-		if q.SymReduce {
-			res, _, err = analysis.SweepExhaustiveSymParallelProgressCtx(ctx, t.router, t.hosts, symBlockSize(q, t), q.Workers, nil)
-		} else {
-			res, err = analysis.SweepExhaustiveParallelCtx(ctx, t.router, t.hosts, q.Workers)
-		}
+		res, _, err = analysis.Sweep(ctx, t.router, t.hosts, spec)
 	case "random":
 		rep.Method = "random"
 		res, err = analysis.SweepRandomCtx(ctx, t.router, t.hosts, q.Trials, q.SeedValue())
@@ -285,40 +283,30 @@ func runShard(ctx context.Context, q *api.Request) (any, error) {
 	if err != nil {
 		return nil, err
 	}
+	spec := analysis.SweepSpec{Prefix: q.ShardPrefix}
+	id := api.ShardID(q.ShardPrefix)
 	if len(q.SymShard) == 2 {
 		// A symmetry-reduced shard: one range of the orbit enumeration,
-		// counters already scaled by orbit size. The coordinator plans sym
-		// shards only after proving applicability, so a worker that cannot
-		// apply the reduction is misconfigured relative to its coordinator —
-		// a fatal 400, never a silent fallback (the counters would not mean
-		// the same thing).
-		bs := symBlockSize(q, t)
-		if stats := analysis.SymApplicable(t.router, t.hosts, bs); !stats.Applied {
-			return nil, badRequest("symmetry reduction not applicable here: %s", stats.Reason)
-		}
-		res, _, err := analysis.SweepSymShardCtx(ctx, t.router, t.hosts, bs, q.SymShard[0], q.SymShard[1], nil)
-		if err != nil {
-			return nil, err
-		}
-		rep := &api.ShardReport{
-			Network: t.net.Name, Hosts: t.hosts, Routing: t.router.Name(),
-			Shard:  api.SymShardID(q.SymShard[0], q.SymShard[1]),
-			Tested: res.Tested, Blocked: res.Blocked, MaxLinkLoad: res.MaxLinkLoad,
-		}
-		if res.FirstBlocked != nil {
-			// Signals blockedness only: the coordinator re-derives the
-			// full-order witness itself.
-			rep.FirstBlocked = res.FirstBlocked.String()
-		}
-		return rep, nil
+		// counters already scaled by orbit size, and a FirstBlocked that
+		// only signals blockedness (the coordinator re-derives the witness).
+		spec = analysis.SweepSpec{Orbits: q.SymShard, SymBlock: symBlockSize(q, t)}
+		id = api.SymShardID(q.SymShard[0], q.SymShard[1])
 	}
-	res, err := analysis.SweepShardCtx(ctx, t.router, t.hosts, q.ShardPrefix, nil)
+	res, _, err := analysis.Sweep(ctx, t.router, t.hosts, spec)
+	if err != nil && ctx.Err() == nil {
+		// The coordinator plans sym shards only after proving
+		// applicability on the same target, so a worker that cannot apply
+		// the reduction, or whose orbit enumeration ends before the range,
+		// is misconfigured relative to its coordinator: a fatal 400, never
+		// a silent fallback (the counters would not mean the same thing).
+		err = badRequest("%v", err)
+	}
 	if err != nil {
 		return nil, err
 	}
 	rep := &api.ShardReport{
 		Network: t.net.Name, Hosts: t.hosts, Routing: t.router.Name(),
-		Shard:  api.ShardID(q.ShardPrefix),
+		Shard:  id,
 		Tested: res.Tested, Blocked: res.Blocked, MaxLinkLoad: res.MaxLinkLoad,
 	}
 	if res.FirstBlocked != nil {

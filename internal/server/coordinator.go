@@ -23,7 +23,7 @@ import (
 // timeout, failures are retried with exponential backoff on a different
 // worker when one is available, and the per-shard SweepResults merge — in
 // lexicographic prefix order — into exactly the result the in-process
-// SweepExhaustiveParallel computes. Completed shards checkpoint to the
+// Sharded Sweep computes. Completed shards checkpoint to the
 // result store under reserved keys, so a coordinator killed mid-sweep
 // resumes without redoing finished shards.
 
@@ -275,16 +275,23 @@ func (s *Server) dispatchShard(ctx context.Context, cc *CoordinatorConfig, q *ap
 // prefix order) into the single-process parallel sweep's result. Two
 // cases need local canonical re-derivation on the coordinator:
 //   - any shard reporting a routing error ⇒ the statistical fields are
-//     meaningless and the canonical sequential-order first routing error
-//     is recomputed, exactly as sweepParallelOracle does;
-//   - a blocking sweep under deeper-than-level-1 sharding ⇒ sub-shard
-//     witnesses cannot reproduce the level-1 Heap-order witness, so the
-//     lowest blocked top-level shard is re-scanned first-blocked-only in
-//     its native enumeration order.
+//     meaningless, and the canonical error is the first routing failure of
+//     a whole-space sequential Sweep, exactly as the Sharded engine
+//     re-derives it;
+//   - a blocking sweep whose shards are not level-1 prefixes ⇒ the shard
+//     witnesses cannot reproduce the level-1 Heap-order witness. Under
+//     deeper prefix sharding the lowest blocked top-level shard is
+//     re-scanned first-blocked in its native order; orbit-range witnesses
+//     are canonical representatives, so a sym sweep re-derives the witness
+//     with a first-blocked Sharded Sweep.
 func (s *Server) mergeCoordinated(ctx context.Context, plan *sweepPlan, results []*api.ShardReport) (*analysis.SweepResult, error) {
 	for _, rep := range results {
 		if rep.RouteErr != "" {
-			return analysis.SweepFirstRouteErr(plan.t.router, plan.t.hosts), nil
+			res, _, err := analysis.Sweep(ctx, plan.t.router, plan.t.hosts, analysis.SweepSpec{})
+			if err != nil {
+				return nil, err
+			}
+			return &analysis.SweepResult{RouteErr: res.RouteErr}, nil
 		}
 	}
 	merged := &analysis.SweepResult{}
@@ -302,23 +309,7 @@ func (s *Server) mergeCoordinated(ctx context.Context, plan *sweepPlan, results 
 	if firstBlocked < 0 {
 		return merged, nil
 	}
-	if plan.sym {
-		// Sym shard witnesses are canonical representatives in enumeration
-		// order — they prove blockedness but are not the parallel engine's
-		// witness. Re-derive it locally in the parallel merge order (first
-		// blocked pattern of the lowest level-1 prefix shard), exactly what
-		// a single-node sweep reports.
-		w, err := analysis.SweepSymWitness(ctx, plan.t.router, plan.t.hosts, true)
-		if err != nil {
-			return nil, err
-		}
-		if w == nil {
-			return nil, fmt.Errorf("sym witness re-derivation found no blocked pattern")
-		}
-		merged.FirstBlocked = w
-		return merged, nil
-	}
-	if len(plan.shards[firstBlocked]) <= 1 {
+	if !plan.sym && len(plan.shards[firstBlocked]) <= 1 {
 		// Level-1 sharding: the worker's witness IS the parallel engine's
 		// (same shard, same engine selection, same enumeration order).
 		p, err := permutation.Parse(plan.t.hosts, results[firstBlocked].FirstBlocked)
@@ -328,13 +319,16 @@ func (s *Server) mergeCoordinated(ctx context.Context, plan *sweepPlan, results 
 		merged.FirstBlocked = p
 		return merged, nil
 	}
-	top := plan.shards[firstBlocked][0]
-	fb, err := analysis.SweepShardFirstBlockedCtx(ctx, plan.t.router, plan.t.hosts, []int{top}, nil)
+	spec := analysis.SweepSpec{Sharded: true, FirstBlocked: true}
+	if !plan.sym {
+		spec = analysis.SweepSpec{Prefix: plan.shards[firstBlocked][:1], FirstBlocked: true}
+	}
+	fb, _, err := analysis.Sweep(ctx, plan.t.router, plan.t.hosts, spec)
 	if err != nil {
 		return nil, err
 	}
 	if fb.FirstBlocked == nil {
-		return nil, fmt.Errorf("witness re-derivation found no blocked pattern in shard %d", top)
+		return nil, fmt.Errorf("witness re-derivation found no blocked pattern")
 	}
 	merged.FirstBlocked = fb.FirstBlocked
 	return merged, nil

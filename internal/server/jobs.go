@@ -226,10 +226,11 @@ func validateShard(q *api.Request) error {
 	if len(q.SymShard) > 0 {
 		// A symmetry-reduced shard: one contiguous range of top-level
 		// necklace indices of the orbit enumeration. The range's exact upper
-		// bound depends on the necklace alphabet, which the engine validates
-		// when it builds the group; here we enforce the request shape plus
-		// the same max_exhaustive opt-in a full sweep over these hosts needs,
-		// since orbit counters are scaled back to hosts! patterns.
+		// bound depends on the necklace alphabet, which the engine checks
+		// when it builds the group (runShard answers a range past it with
+		// 400); here we enforce the request shape plus the same
+		// max_exhaustive opt-in a full sweep over these hosts needs, since
+		// orbit counters are scaled back to hosts! patterns.
 		if !q.SymReduce {
 			return badRequest("sym_shard requires sym_reduce")
 		}
@@ -250,6 +251,11 @@ func validateShard(q *api.Request) error {
 	}
 	if q.SymReduce {
 		return badRequest("sym_reduce on /v1/verify/shard requires sym_shard")
+	}
+	if len(q.ShardPrefix) == 0 {
+		// An empty prefix would be the whole space, which /v1/verify
+		// sweeps; the coordinator only ever sends PrefixShards output.
+		return badRequest("shard_prefix is required (an empty prefix is the whole space: use /v1/verify)")
 	}
 	if len(q.ShardPrefix) > h {
 		return badRequest("shard_prefix has %d entries for %d hosts", len(q.ShardPrefix), h)

@@ -72,6 +72,16 @@ func (sj *sweepJob) status() *api.SweepStatus {
 	return st
 }
 
+// finished reports whether the job reached a terminal state.
+func (sj *sweepJob) finished() bool {
+	select {
+	case <-sj.done:
+		return true
+	default:
+		return false
+	}
+}
+
 func (sj *sweepJob) finish(result []byte) {
 	sj.mu.Lock()
 	if sj.state == "running" {
@@ -134,12 +144,42 @@ func (s *Server) newSweep(plan *sweepPlan, dedupKey string) *sweepJob {
 		sj.tested.Add(int64(rep.Tested))
 		sj.blocked.Add(int64(rep.Blocked))
 	}
+	s.pruneSweepsLocked()
 	s.sweeps[sj.id] = sj
+	s.sweepOrder = append(s.sweepOrder, sj)
 	if dedupKey != "" {
 		s.sweepByKey[dedupKey] = sj
 	}
 	return sj
 }
+
+// pruneSweepsLocked bounds the registry: of the finished jobs it keeps the
+// newest Config.CacheEntries — the result store holds no more bodies than
+// that, so an evicted job's result is a re-POST away — and it never drops
+// a running job. The caller holds sweepMu.
+func (s *Server) pruneSweepsLocked() {
+	finished := 0
+	for _, sj := range s.sweepOrder {
+		if sj.finished() {
+			finished++
+		}
+	}
+	kept := s.sweepOrder[:0]
+	for _, sj := range s.sweepOrder {
+		if finished > s.cfg.CacheEntries && sj.finished() {
+			delete(s.sweeps, sj.id)
+			finished--
+			continue
+		}
+		kept = append(kept, sj)
+	}
+	clear(s.sweepOrder[len(kept):])
+	s.sweepOrder = kept
+}
+
+// unknownJob answers a job ID the registry does not hold: never handed out,
+// or a finished job evicted by pruneSweepsLocked.
+const unknownJob = "unknown job: finished jobs are kept only for the latest sweeps; re-POST the request to /v1/verify/sweep to get its stored result"
 
 func (s *Server) lookupSweep(id string) *sweepJob {
 	s.sweepMu.Lock()
@@ -304,6 +344,7 @@ func (s *Server) runSweep(sj *sweepJob, q *api.Request, plan *sweepPlan) {
 		if s.sweepByKey[sj.key] == sj {
 			delete(s.sweepByKey, sj.key)
 		}
+		s.pruneSweepsLocked()
 		s.sweepMu.Unlock()
 	}()
 	ctx, cancel := context.WithTimeout(s.sweepCtx, s.timeoutFor(q.TimeoutMs))
@@ -314,24 +355,22 @@ func (s *Server) runSweep(sj *sweepJob, q *api.Request, plan *sweepPlan) {
 	if len(plan.workers) > 0 {
 		res, err = s.runCoordinated(ctx, sj, q, plan)
 	} else {
-		progress := func(dt, db int) {
+		// A sym_reduce sweep matches the parallel engine byte-for-byte and
+		// reports orbit-scaled progress deltas, so the SSE stream still
+		// counts patterns, not representatives.
+		spec := sweepSpec(q, plan.t, "exhaustive-parallel")
+		spec.Progress = func(dt, db int) {
 			sj.tested.Add(int64(dt))
 			sj.blocked.Add(int64(db))
 		}
-		if q.SymReduce {
-			// The sym engine matches the parallel engine byte-for-byte and
-			// reports orbit-scaled progress deltas, so the SSE stream still
-			// counts patterns, not representatives.
-			var stats *analysis.SymStats
-			res, stats, err = analysis.SweepExhaustiveSymParallelProgressCtx(
-				ctx, plan.t.router, plan.t.hosts, symBlockSize(q, plan.t), q.Workers, progress)
-			if err == nil && stats.Applied {
+		var stats *analysis.SymStats
+		res, stats, err = analysis.Sweep(ctx, plan.t.router, plan.t.hosts, spec)
+		if err == nil && stats != nil {
+			if stats.Applied {
 				s.met.symSweeps.Add(1)
-			} else if err == nil {
+			} else {
 				s.met.symFallbacks.Add(1)
 			}
-		} else {
-			res, err = analysis.SweepExhaustiveParallelProgressCtx(ctx, plan.t.router, plan.t.hosts, q.Workers, progress)
 		}
 		if err == nil {
 			sj.shardsDone.Store(1)
@@ -375,7 +414,7 @@ func (s *Server) runSweep(sj *sweepJob, q *api.Request, plan *sweepPlan) {
 func (s *Server) jobStatusHandler(w http.ResponseWriter, r *http.Request) {
 	sj := s.lookupSweep(r.PathValue("id"))
 	if sj == nil {
-		writeError(w, http.StatusNotFound, "unknown job")
+		writeError(w, http.StatusNotFound, unknownJob)
 		return
 	}
 	body, _ := json.Marshal(sj.status())
@@ -391,7 +430,7 @@ func (s *Server) jobStatusHandler(w http.ResponseWriter, r *http.Request) {
 func (s *Server) jobEventsHandler(w http.ResponseWriter, r *http.Request) {
 	sj := s.lookupSweep(r.PathValue("id"))
 	if sj == nil {
-		writeError(w, http.StatusNotFound, "unknown job")
+		writeError(w, http.StatusNotFound, unknownJob)
 		return
 	}
 	fl, ok := w.(http.Flusher)

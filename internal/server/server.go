@@ -116,9 +116,11 @@ type Server struct {
 
 	// Sweep-job tracking for /v1/verify/sweep and the /v1/jobs endpoints.
 	// sweepCtx parents every runner so Close can cancel and join them
-	// (sweepWg) before the store shuts down.
+	// (sweepWg) before the store shuts down. sweepOrder lists the jobs in
+	// sweeps oldest first, for evicting finished ones.
 	sweepMu     sync.Mutex
 	sweeps      map[string]*sweepJob
+	sweepOrder  []*sweepJob
 	sweepByKey  map[string]*sweepJob
 	sweepSeq    int
 	sweepWg     sync.WaitGroup

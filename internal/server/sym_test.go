@@ -86,6 +86,10 @@ func TestSymValidation(t *testing.T) {
 		{"sym_shard wrong shape", "/v1/verify/shard", api.Request{N: 2, M: 3, R: 3, Routing: "spray", SymReduce: true, SymShard: []int{0, 1, 2}}},
 		{"sym_shard empty range", "/v1/verify/shard", api.Request{N: 2, M: 3, R: 3, Routing: "spray", SymReduce: true, SymShard: []int{3, 3}}},
 		{"sym_shard negative", "/v1/verify/shard", api.Request{N: 2, M: 3, R: 3, Routing: "spray", SymReduce: true, SymShard: []int{-1, 2}}},
+		// Ranges past the orbit enumeration's necklace alphabet: refused by
+		// the engine, not clamped to an empty or a full sweep.
+		{"sym_shard past the end", "/v1/verify/shard", api.Request{N: 2, M: 3, R: 3, Routing: "spray", SymReduce: true, SymShard: []int{1000000, 2000000}}},
+		{"sym_shard straddling the end", "/v1/verify/shard", api.Request{N: 2, M: 3, R: 3, Routing: "spray", SymReduce: true, SymShard: []int{0, 1000000}}},
 		{"sym_shard over max_exhaustive", "/v1/verify/shard", api.Request{N: 3, M: 3, R: 4, Routing: "spray", SymReduce: true, SymShard: []int{0, 1}}},
 		{"sym_reduce on sim", "/v1/sim", api.Request{SymReduce: true}},
 		{"sym_reduce on worstcase", "/v1/worstcase", api.Request{SymReduce: true}},

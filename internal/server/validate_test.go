@@ -39,6 +39,10 @@ func TestValidation(t *testing.T) {
 		{"negative max_exhaustive", "/v1/verify", func(q *api.Request) { q.MaxExhaustive = -1 }, "max_exhaustive"},
 		{"negative timeout_ms", "/v1/verify", func(q *api.Request) { q.TimeoutMs = -100 }, "timeout_ms"},
 		{"negative n", "/v1/verify", func(q *api.Request) { q.N = -2 }, "n must be"},
+		// An empty prefix would sweep the whole space in Heap order on the
+		// shard endpoint, reporting a different witness than the level-1
+		// shards the coordinator merges.
+		{"empty shard_prefix", "/v1/verify/shard", func(q *api.Request) { q.ShardPrefix = []int{} }, "shard_prefix is required"},
 		{"odd mnt ports", "/v1/verify", func(q *api.Request) {
 			*q = api.Request{Topo: "mnt", Ports: 5, Levels: 2, Routing: "mnt-dest-mod"}
 		}, "even"},
