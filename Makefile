@@ -11,7 +11,7 @@ RACE_PKGS ?= ./internal/sim/ ./internal/analysis/ ./internal/routing/ ./internal
 FUZZTIME ?= 30s
 FUZZ_TARGETS := ./internal/routing/:FuzzEdgeColorBipartite ./internal/routing/:FuzzBenesLooping ./internal/routing/:FuzzRouteTableParity ./internal/routing/:FuzzFaultLinkParity ./internal/permutation/:FuzzCanonicalParity
 
-.PHONY: all build test race cover bench bench-json bench-gate fuzz-smoke batch-smoke coordinator-smoke frontier-smoke design-smoke fault-smoke smoke-filters report tables examples clean
+.PHONY: all build test race cover bench bench-json bench-gate fuzz-smoke batch-smoke coordinator-smoke frontier-smoke design-smoke fault-smoke smoke-filters prod-lines report tables examples clean
 
 all: build test
 
@@ -56,13 +56,14 @@ design-smoke:
 	GO="$(GO)" ./scripts/design_smoke.sh
 
 # Fault-campaign smoke: the campaign engine's byte-identity and
-# no-failed-path property tests plus the /v1/failures endpoint tests, then
-# the real nbverify -failures binary on a pinned small fabric diffed
-# against the committed golden curves — sequentially, on a worker pool,
-# and through a live nbserve.
+# no-failed-path property tests, the /v1/failures endpoint tests and the
+# E11 golden replay, then the real nbverify -failures binary on a pinned
+# small fabric diffed against the committed golden curves — sequentially,
+# on a worker pool, and through a live nbserve.
 fault-smoke:
 	$(GO) test ./internal/campaign/ -count=1 -run 'TestRunParallelMatchesSequential|TestNoRouterEmitsFailedPath|TestAnalyzePatternParity'
 	$(GO) test ./internal/server/ -count=1 -run 'TestFailures'
+	$(GO) test ./internal/experiments/ -count=1 -run 'TestFaultGolden'
 	GO="$(GO)" ./scripts/fault_smoke.sh
 
 # Smoke-filter guard: `go test -run` passes when its filter matches
@@ -71,6 +72,11 @@ fault-smoke:
 # test then fails here instead of silently leaving a smoke target.
 smoke-filters:
 	GO="$(GO)" ./scripts/smoke_filters.sh
+
+# Production Go line count (non-blank, non-comment, no tests, no
+# perfbench/): the size figure simplicity changes report. CI prints it.
+prod-lines:
+	@./scripts/prod_lines.sh
 
 race:
 	$(GO) test -race $(RACE_PKGS)

@@ -240,9 +240,6 @@ var (
 	NewMultiLevelPaper = routing.NewMultiLevelPaper
 	// NewCrossbarRouter routes the reference crossbar.
 	NewCrossbarRouter = routing.NewCrossbarRouter
-	// NewPaperDeterministicSpared hardens the Theorem-3 scheme with
-	// dedicated spare top switches for fault tolerance.
-	NewPaperDeterministicSpared = routing.NewPaperDeterministicSpared
 	// NewClosOnline manages circuits under the classic telephone model.
 	NewClosOnline = routing.NewClosOnline
 	// ReplayClosEvents applies an online setup/teardown sequence.
@@ -257,8 +254,6 @@ type (
 	ClosEvent = routing.ClosEvent
 	// ClosPolicy selects the middle-switch strategy.
 	ClosPolicy = routing.ClosPolicy
-	// SparedDeterministic is the fault-hardened Theorem-3 router.
-	SparedDeterministic = routing.SparedDeterministic
 )
 
 // Online middle-switch selection policies.
@@ -662,19 +657,8 @@ var (
 	SampleFailures = campaign.SampleFailures
 	// DefaultFaultSchemes lists the four campaign routing schemes.
 	DefaultFaultSchemes = campaign.DefaultSchemes
-	// BuildFaultRouter instantiates a campaign scheme against a view.
+	// BuildFaultRouter instantiates one of the DefaultFaultSchemes
+	// against a FailureView: the one constructor for the degraded-mode
+	// routers. The spared and naive-remap schemes are PairRouters.
 	BuildFaultRouter = campaign.BuildRouter
-	// NewLocalReroute is Bankhamer-style randomized local fast rerouting:
-	// deflections at the point of failure, no global recomputation.
-	NewLocalReroute = routing.NewLocalReroute
-	// NewAvoidingAdaptive routes around a failure view with the
-	// nonblocking adaptive assignment over the healthy top switches.
-	NewAvoidingAdaptive = routing.NewAvoidingAdaptive
-	// NewSparedDeterministicView remaps failed class switches onto spare
-	// tops (Theorem 3 with spares).
-	NewSparedDeterministicView = routing.NewSparedDeterministicView
-	// NewNaiveRemapView is the negative control: failed class switches
-	// remapped by modulo over the healthy tops, destroying the Theorem-3
-	// conflict-freedom.
-	NewNaiveRemapView = routing.NewNaiveRemapView
 )

@@ -67,10 +67,17 @@ func TestIntegrationDesignToDeployment(t *testing.T) {
 
 	// 4. Harden with spares and fail two top switches.
 	f := fclos.NewFoldedClos(det.N, det.N*det.N+2, det.R)
-	failed := map[int]bool{1: true, 5: true}
-	spared, err := fclos.NewPaperDeterministicSpared(f, failed)
+	view, err := fclos.FailureSet{Tops: []int{1, 5}}.View(f)
 	if err != nil {
 		t.Fatal(err)
+	}
+	router, err := fclos.BuildFaultRouter(f, "spared-deterministic", view, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spared, ok := router.(fclos.PairRouter)
+	if !ok {
+		t.Fatal("spared router should expose a PairRouter")
 	}
 	l1, err := fclos.CheckLemma1AllPairs(spared, f.Ports())
 	if err != nil {

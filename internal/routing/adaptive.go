@@ -103,11 +103,11 @@ func (r *NonblockingAdaptive) Plan(p *permutation.Permutation) (tops []int, pair
 	return s.tops, s.pairs, confs, nil
 }
 
-// plan is the Fig. 4 scheduling body behind Plan, Route, RouteAvoiding and
-// AppendPatternLinks. It fills s.pairs with p's SD pairs in ascending
-// source order and s.tops with each pair's logical top slot (−1 until the
-// pair is routed, and for pairs that bypass the top level), and returns
-// the configurations consumed. Every buffer comes from s, so planning is
+// plan is the Fig. 4 scheduling body behind Plan, Route,
+// AppendPatternLinks and AvoidingAdaptive. It fills s.pairs with p's SD
+// pairs in ascending source order and s.tops with each pair's logical top
+// slot (−1 until the pair is routed, and for pairs that bypass the top
+// level), and returns the configurations consumed. Every buffer comes from s, so planning is
 // allocation-free once s has warmed up.
 func (r *NonblockingAdaptive) plan(p *permutation.Permutation, s *PatternLinks) (int, error) {
 	if p.N() != r.F.Ports() {
@@ -196,8 +196,8 @@ func (r *NonblockingAdaptive) plan(p *permutation.Permutation, s *PatternLinks) 
 
 // planOver plans p into s and maps every logical top slot onto a physical
 // top switch: the identity when healthy is nil, healthy[slot] otherwise
-// (the ascending renumbering over the usable switches that RouteAvoiding
-// and AvoidingAdaptive route on). It fails when the pattern needs more top
+// (the ascending renumbering over a failure view's intact switches that
+// AvoidingAdaptive routes on). It fails when the pattern needs more top
 // switches than the mapping offers, and returns the configurations
 // consumed and the top switches they need. It is the single plan and
 // top-mapping body shared by the Assignment routes and AppendPatternLinks,

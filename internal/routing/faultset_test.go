@@ -1,62 +1,20 @@
 package routing
 
 import (
-	"math/rand"
 	"reflect"
-	"strings"
 	"testing"
 
 	"repro/internal/permutation"
 	"repro/internal/topology"
 )
 
-// The shared plan and top-mapping body must make RouteAvoiding with no failures
-// byte-identical to the healthy Route.
-func TestRouteAvoidingNoFailuresMatchesRoute(t *testing.T) {
-	f := topology.NewFoldedClos(3, 9, 9)
-	ad, err := NewNonblockingAdaptive(f)
+func TestLocalRerouteHealthyMatchesDeterministic(t *testing.T) {
+	f := topology.NewFoldedClos(2, 4, 4)
+	view, err := topology.FailureSet{}.View(f)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 20; trial++ {
-		p := permutation.Random(rng, f.Ports())
-		a, err := ad.Route(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := ad.RouteAvoiding(p, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(a.PathSets, b.PathSets) {
-			t.Fatalf("trial %d: RouteAvoiding(∅) diverged from Route", trial)
-		}
-	}
-}
-
-// The spared constructor's error must report the healthy spare count, not
-// the provisioned one, when spares are themselves failed.
-func TestSparedErrorReportsHealthySpares(t *testing.T) {
-	n := 2
-	f := topology.NewFoldedClos(n, n*n+2, 4) // 2 provisioned spares: 4, 5
-	// Fail one spare and two class switches: 1 healthy spare < 2 classes.
-	failed := map[int]bool{0: true, 1: true, 5: true}
-	_, err := NewPaperDeterministicSpared(f, failed)
-	if err == nil {
-		t.Fatal("expected spare exhaustion error")
-	}
-	if !strings.Contains(err.Error(), "1 healthy spare") {
-		t.Fatalf("error should name the 1 healthy spare, got: %v", err)
-	}
-	if !strings.Contains(err.Error(), "2 provisioned") {
-		t.Fatalf("error should name the 2 provisioned spares, got: %v", err)
-	}
-}
-
-func TestLocalRerouteHealthyMatchesDeterministic(t *testing.T) {
-	f := topology.NewFoldedClos(2, 4, 4)
-	lr := NewLocalReroute(f, nil, 1)
+	lr := NewLocalReroute(f, view, 1)
 	det, err := NewPaperDeterministic(f)
 	if err != nil {
 		t.Fatal(err)

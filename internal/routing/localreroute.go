@@ -38,12 +38,8 @@ type LocalReroute struct {
 	maxVisits int
 }
 
-// NewLocalReroute builds the local-reroute router for the failure view
-// (nil means a pristine fabric).
+// NewLocalReroute builds the local-reroute router for the failure view.
 func NewLocalReroute(f *topology.FoldedClos, view *topology.FailureView, seed int64) *LocalReroute {
-	if view == nil {
-		view, _ = topology.FailureSet{}.View(f)
-	}
 	visits := 4
 	for m := f.M; m > 1; m >>= 1 {
 		visits++

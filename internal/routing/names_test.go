@@ -65,7 +65,12 @@ func TestRouterNames(t *testing.T) {
 			t.Errorf("Name() = %q, want %q", got, name)
 		}
 	}
-	sp, err := routing.NewPaperDeterministicSpared(topology.NewFoldedClos(2, 5, 4), nil)
+	spf := topology.NewFoldedClos(2, 5, 4)
+	view, err := topology.FailureSet{}.View(spf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp, err := routing.NewSparedDeterministicView(spf, view)
 	if err != nil {
 		t.Fatal(err)
 	}

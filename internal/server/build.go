@@ -344,6 +344,11 @@ func runWorstCase(ctx context.Context, q *api.Request) (any, error) {
 	return rep, nil
 }
 
+// The open-loop /v1/sim sweep: packets per host at each offered rate.
+const openLoopWarmup, openLoopMeasured = 20, 100
+
+var openLoopRates = []float64{0.2, 0.4, 0.6, 0.8, 1.0}
+
 // runSim answers POST /v1/sim with the `nbsim -json` report. The packet
 // simulators do not poll mid-run — cancellation is honored between the
 // queue and the start of the simulation — so deadlines bound queue wait
@@ -387,14 +392,13 @@ func runSim(ctx context.Context, q *api.Request) (any, error) {
 		pairs := sim.PermPairs(dst)
 		base := sim.OpenLoopConfig{
 			PacketFlits:     q.Flits,
-			WarmupPackets:   20,
-			MeasuredPackets: 100,
+			WarmupPackets:   openLoopWarmup,
+			MeasuredPackets: openLoopMeasured,
 			Seed:            q.SeedValue(),
 			Arbiter:         cfg.Arbiter,
 			Collector:       sim.NewMetricsCollector(),
 		}
-		rates := []float64{0.2, 0.4, 0.6, 0.8, 1.0}
-		points, err := sim.LoadSweepParallel(t.net, pairs, sim.PairPathsFunc(pr), rates, base)
+		points, err := sim.LoadSweepParallel(t.net, pairs, sim.PairPathsFunc(pr), openLoopRates, base)
 		if err != nil {
 			return nil, err
 		}

@@ -88,6 +88,13 @@ func validateFailures(q *api.Request) error {
 		return badRequest("campaign schedules %d pattern-host checks, exceeds %d; shrink the sweep or use nbverify -failures offline",
 			work, int64(maxCampaignWork))
 	}
+	// With sim, every cell also simulates pkts packets per host.
+	if fr.Sim {
+		if w := simWork(int(cells), requestHosts(q), q.Pkts, q.Flits); w > maxSimWork {
+			return badRequest("campaign simulates %d packet-flits, exceeds %d; shrink pkts, flits or the sweep or use nbverify -failures offline",
+				w, int64(maxSimWork))
+		}
+	}
 	return nil
 }
 

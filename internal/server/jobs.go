@@ -76,7 +76,32 @@ const (
 	maxRequestHosts  = 1 << 20 // hosts in the requested topology
 	maxRequestLinks  = 1 << 22 // duplex links in the requested topology
 	maxRequestLevels = 64      // mnt levels; 2^64 hosts saturates any k >= 2
+	// maxSimWork caps the packet-flits one /v1/sim request, or one
+	// /v1/failures request with sim, may simulate. The simulators do not
+	// poll the context, so a deadline cannot stop a run once it has
+	// started. A simulated packet costs a few microseconds whatever its
+	// flits, so the cap is about 15 s of simulation at the default 4
+	// flits.
+	maxSimWork = 1 << 24
+	// maxSimPkts caps pkts per pair for closed-loop /v1/sim runs. They
+	// queue all of a pair's packets at once and the arbiter scans the
+	// whole queue on every start, so past about a thousand packets the
+	// cost grows with pkts² instead of with the packet-flits above.
+	maxSimPkts = 1024
 )
+
+// simWork multiplies the size factors of a simulated workload (each >= 1),
+// saturating at maxSimWork+1 instead of overflowing.
+func simWork(factors ...int) int64 {
+	w := int64(1)
+	for _, f := range factors {
+		if w > maxSimWork/int64(f) {
+			return maxSimWork + 1
+		}
+		w *= int64(f)
+	}
+	return w
+}
 
 // requestHosts computes the host count of the requested topology without
 // building it (ftree: n·r; mnt: ports for one level, 2·(ports/2)^levels
@@ -318,6 +343,22 @@ func validateSim(q *api.Request) error {
 	}
 	if q.OpenLoop && q.Topo != "ftree" {
 		return badRequest("open_loop supports topo ftree only")
+	}
+	// Packets per host: pkts per pattern, once per trial for random
+	// patterns; the open-loop sweep injects a fixed count at every rate.
+	pkts, runs := q.Pkts, 1
+	switch {
+	case q.OpenLoop:
+		pkts, runs = openLoopWarmup+openLoopMeasured, len(openLoopRates)
+	case q.Pattern == "random":
+		runs = q.Trials
+	}
+	if w := simWork(requestHosts(q), pkts, runs, q.Flits); w > maxSimWork {
+		return badRequest("simulation schedules %d packet-flits, exceeds %d; shrink pkts, flits or trials or use nbsim offline",
+			w, int64(maxSimWork))
+	}
+	if !q.OpenLoop && q.Pkts > maxSimPkts {
+		return badRequest("pkts %d exceeds %d per pair for a closed-loop simulation; use nbsim offline", q.Pkts, maxSimPkts)
 	}
 	return nil
 }

@@ -76,6 +76,27 @@ func TestValidation(t *testing.T) {
 		{"first_blocked exhaustive over cap", "/v1/verify", func(q *api.Request) {
 			*q = api.Request{N: 2, M: 4, R: 8, Routing: "paper", Mode: "exhaustive", FirstBlocked: true}
 		}, "max_exhaustive"},
+		// The simulated-work holes: the simulators never poll the
+		// context, so each of these used to pass validation, answer 504
+		// at its deadline and keep the only worker simulating.
+		{"sim pkts over cap", "/v1/sim", func(q *api.Request) {
+			q.Pattern, q.Pkts, q.TimeoutMs = "shift", 1<<40, 300
+		}, "packet-flits"},
+		// Under the packet-flit cap but 2^21 packets queued per pair: the
+		// closed-loop arbiter's queue scans would run for days.
+		{"closed-loop sim pkts per pair over cap", "/v1/sim", func(q *api.Request) {
+			q.Pattern, q.Pkts, q.Flits, q.TimeoutMs = "shift", 1<<21, 1, 300
+		}, "per pair"},
+		{"sim trials over cap", "/v1/sim", func(q *api.Request) {
+			q.Pattern, q.Trials, q.TimeoutMs = "random", 1<<40, 300
+		}, "packet-flits"},
+		{"open-loop sim flits over cap", "/v1/sim", func(q *api.Request) {
+			q.OpenLoop, q.Flits, q.TimeoutMs = true, 1<<40, 300
+		}, "packet-flits"},
+		{"failures sim pkts over cap", "/v1/failures", func(q *api.Request) {
+			q.M, q.Pkts, q.TimeoutMs = 8, 1<<40, 300
+			q.Failures = &api.FailuresRequest{Scenario: "tops", MaxFailures: 1, Samples: 1, Trials: 1, Sim: true}
+		}, "packet-flits"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

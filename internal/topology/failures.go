@@ -2,6 +2,7 @@ package topology
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -80,11 +81,9 @@ func (fs *FailureSet) normalized() FailureSet {
 	out.Tops = dedupInts(fs.Tops)
 	out.Bottoms = dedupInts(fs.Bottoms)
 	if len(fs.Trunks) > 0 {
-		topDown := intSet(out.Tops)
-		botDown := intSet(out.Bottoms)
 		seen := make(map[Trunk]bool, len(fs.Trunks))
 		for _, tr := range fs.Trunks {
-			if topDown[tr.Top] || botDown[tr.Bottom] || seen[tr] {
+			if sortedHas(out.Tops, tr.Top) || sortedHas(out.Bottoms, tr.Bottom) || seen[tr] {
 				continue
 			}
 			seen[tr] = true
@@ -148,12 +147,10 @@ func dedupInts(xs []int) []int {
 	return out
 }
 
-func intSet(xs []int) map[int]bool {
-	m := make(map[int]bool, len(xs))
-	for _, x := range xs {
-		m[x] = true
-	}
-	return m
+// sortedHas reports whether the ascending slice xs holds x.
+func sortedHas(xs []int, x int) bool {
+	_, ok := slices.BinarySearch(xs, x)
+	return ok
 }
 
 // FailureView is a FailureSet bound to a FoldedClos with O(1) health
