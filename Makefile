@@ -11,7 +11,7 @@ RACE_PKGS ?= ./internal/sim/ ./internal/analysis/ ./internal/routing/ ./internal
 FUZZTIME ?= 30s
 FUZZ_TARGETS := ./internal/routing/:FuzzEdgeColorBipartite ./internal/routing/:FuzzBenesLooping ./internal/routing/:FuzzRouteTableParity ./internal/routing/:FuzzFaultLinkParity ./internal/permutation/:FuzzCanonicalParity
 
-.PHONY: all build test race cover bench bench-json bench-gate fuzz-smoke batch-smoke coordinator-smoke frontier-smoke design-smoke fault-smoke smoke-filters prod-lines report tables examples clean
+.PHONY: all build test race cover bench bench-json bench-gate fuzz-smoke batch-smoke coordinator-smoke frontier-smoke design-smoke fault-smoke sim-smoke smoke-filters prod-lines report tables examples clean
 
 all: build test
 
@@ -65,6 +65,15 @@ fault-smoke:
 	$(GO) test ./internal/server/ -count=1 -run 'TestFailures'
 	$(GO) test ./internal/experiments/ -count=1 -run 'TestFaultGolden'
 	GO="$(GO)" ./scripts/fault_smoke.sh
+
+# Simulator smoke: the worker-count parity tests of RunTrials, LoadSweep
+# and CompareToCrossbarParallel (every count returns the same results,
+# Metrics and lowest-index error), then the real nbsim
+# binary's -json reports for an open-loop sweep and for random trials,
+# each diffed between -workers 1 and -workers 3.
+sim-smoke:
+	$(GO) test ./internal/sim/ -count=1 -run 'ParallelMatchesSequential|TestMetricsParallelIdenticalToSequential'
+	GO="$(GO)" ./scripts/sim_smoke.sh
 
 # Smoke-filter guard: `go test -run` passes when its filter matches
 # nothing, so every |-alternative of every -run filter above must select

@@ -226,7 +226,7 @@ func buildBenchmarks() ([]benchmark, error) {
 		})
 	}
 
-	// ClosedLoop4Trial: the sequential trial driver over 4 random
+	// ClosedLoop4Trial: RunTrials inline (workers = 1) over 4 random
 	// permutations.
 	{
 		f := fclos.NewNonblockingFtree(3, 12)
@@ -236,7 +236,7 @@ func buildBenchmarks() ([]benchmark, error) {
 		}
 		hosts := f.Ports()
 		cfg := fclos.SimConfig{PacketFlits: 4, PacketsPerPair: 8, Arbiter: fclos.ArbiterRoundRobin}
-		trials, err := fclos.RunTrials(f.Net, r, hosts, 4, 1, cfg)
+		trials, err := fclos.RunTrials(f.Net, r, hosts, 4, 1, 1, cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -248,7 +248,7 @@ func buildBenchmarks() ([]benchmark, error) {
 			name: "ClosedLoop4Trial",
 			fn: func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					results, err := fclos.RunTrials(f.Net, r, hosts, 4, 1, cfg)
+					results, err := fclos.RunTrials(f.Net, r, hosts, 4, 1, 1, cfg)
 					if err != nil {
 						b.Fatal(err)
 					}

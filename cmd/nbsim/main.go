@@ -175,14 +175,7 @@ func run(out io.Writer, topo string, n, m, r, ports, levels int, scheme string, 
 			base.Collector = sim.NewMetricsCollector()
 		}
 		rates := []float64{0.2, 0.4, 0.6, 0.8, 1.0}
-		// The parallel sweep is byte-identical to the sequential one.
-		var points []sim.LoadSweepPoint
-		var err error
-		if workers == 1 {
-			points, err = sim.LoadSweep(net, pairs, sim.PairPathsFunc(pr), rates, base)
-		} else {
-			points, err = sim.LoadSweepParallel(net, pairs, sim.PairPathsFunc(pr), rates, base)
-		}
+		points, err := sim.LoadSweep(net, pairs, sim.PairPathsFunc(pr), rates, workers, base)
 		if err != nil {
 			return err
 		}

@@ -306,10 +306,8 @@ var (
 	// NewDeltaChecker builds an incremental checker over a RouteTable.
 	NewDeltaChecker = analysis.NewDeltaChecker
 	// CheckLemma1AllPairs decides nonblocking exactly for deterministic
-	// routing (Lemma 1); the Parallel variant shards the all-pairs
-	// routing by source host with an identical result.
-	CheckLemma1AllPairs         = analysis.CheckLemma1AllPairs
-	CheckLemma1AllPairsParallel = analysis.CheckLemma1AllPairsParallel
+	// routing (Lemma 1).
+	CheckLemma1AllPairs = analysis.CheckLemma1AllPairs
 	// BlockingWitness extracts a blocked two-pair permutation from a
 	// Lemma-1 violation.
 	BlockingWitness = analysis.BlockingWitness
@@ -331,16 +329,14 @@ var (
 	// exhaustive wall.
 	SweepRandomCtx = analysis.SweepRandomCtx
 	// BlockingProbability estimates P(contention) over random
-	// permutations (Parallel variant splits trials across workers).
-	BlockingProbability         = analysis.BlockingProbability
-	BlockingProbabilityParallel = analysis.BlockingProbabilityParallel
+	// permutations.
+	BlockingProbability = analysis.BlockingProbability
 	// MaxRootPairsModes / MaxRootPairsNaive / RootSetWitness /
 	// CheckRootSet are the Lemma-2 exact searches.
-	MaxRootPairsModes         = analysis.MaxRootPairsModes
-	MaxRootPairsModesParallel = analysis.MaxRootPairsModesParallel
-	MaxRootPairsNaive         = analysis.MaxRootPairsNaive
-	RootSetWitness            = analysis.RootSetWitness
-	CheckRootSet              = analysis.CheckRootSet
+	MaxRootPairsModes = analysis.MaxRootPairsModes
+	MaxRootPairsNaive = analysis.MaxRootPairsNaive
+	RootSetWitness    = analysis.RootSetWitness
+	CheckRootSet      = analysis.CheckRootSet
 )
 
 // WorstCaseSearch hill-climbs for maximally contended permutations.
@@ -357,11 +353,9 @@ var (
 	ModelExpectedCollisions = analysis.ModelExpectedCollisions
 	// WorstCaseLinkLoad computes the exact worst-case permutation load
 	// per link (maximum matching); WorstCasePermutationFor constructs a
-	// permutation realizing it. The Parallel variant shards the
-	// underlying all-pairs routing by source host.
-	WorstCaseLinkLoad         = analysis.WorstCaseLinkLoad
-	WorstCaseLinkLoadParallel = analysis.WorstCaseLinkLoadParallel
-	WorstCasePermutationFor   = analysis.WorstCasePermutationFor
+	// permutation realizing it.
+	WorstCaseLinkLoad       = analysis.WorstCaseLinkLoad
+	WorstCasePermutationFor = analysis.WorstCasePermutationFor
 )
 
 // ---------------------------------------------------------------------------
@@ -436,17 +430,14 @@ var (
 	// CrossbarReference simulates the pattern on an ideal crossbar.
 	CrossbarReference = sim.CrossbarReference
 	// CompareToCrossbar reports slowdown statistics over random patterns.
-	CompareToCrossbar = sim.CompareToCrossbar
+	// It, RunTrials and LoadSweep take a worker count (≤ 0 = GOMAXPROCS,
+	// 1 = inline on the caller's goroutine); their output is the same at
+	// every count.
+	CompareToCrossbar = sim.CompareToCrossbarParallel
 	// FlowsFromAssignment adapts routing output for the simulator.
 	FlowsFromAssignment = sim.FlowsFromAssignment
-	// RunTrials simulates seeded random permutations sequentially.
+	// RunTrials simulates seeded random permutations.
 	RunTrials = sim.RunTrials
-	// RunTrialsParallel / LoadSweepParallel / CompareToCrossbarParallel
-	// are the deterministic parallel drivers: worker pools whose merged
-	// output is byte-identical to the sequential counterparts.
-	RunTrialsParallel         = sim.RunTrialsParallel
-	LoadSweepParallel         = sim.LoadSweepParallel
-	CompareToCrossbarParallel = sim.CompareToCrossbarParallel
 	// OpenLoop / LoadSweep run rate-injected (open-loop) simulations;
 	// OpenLoopResult.Undelivered reports in-flight packets on saturated
 	// aborts.

@@ -119,12 +119,12 @@ func TestIntegrationBaselinesBehaveAsPaperPredicts(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := fclos.SimConfig{PacketFlits: 2, PacketsPerPair: 6}
-	sumNB, err := fclos.CompareToCrossbar(f.Net, paper, f.Ports(), 5, 1, cfg)
+	sumNB, err := fclos.CompareToCrossbar(f.Net, paper, f.Ports(), 5, 1, 1, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ft := fclos.NewMPortNTree(n+n*n, 2)
-	sumFT, err := fclos.CompareToCrossbar(ft.Net, fclos.NewMNTDestMod(ft), ft.Hosts(), 5, 1, cfg)
+	sumFT, err := fclos.CompareToCrossbar(ft.Net, fclos.NewMNTDestMod(ft), ft.Hosts(), 5, 1, 1, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

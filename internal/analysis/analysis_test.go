@@ -1,6 +1,8 @@
 package analysis
 
 import (
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -162,6 +164,107 @@ func TestBlockingProbabilityBounds(t *testing.T) {
 	}
 	if _, _, err := BlockingProbability(ad, tiny.Ports(), 10, 3); err == nil {
 		t.Fatal("expected routing error")
+	}
+}
+
+// lemma1Reference is the direct form of CheckLemma1AllPairs: it keeps
+// each link's distinct sources and destinations by a linear scan per pair.
+// CheckLemma1AllPairs must match it exactly, first-appearance order of
+// Sources and Dests included (BlockingWitness and the worst-load matching
+// read them).
+func lemma1Reference(r routing.PairRouter, hosts int) (*Lemma1Result, error) {
+	insert := func(s *[]int, x int) {
+		for _, y := range *s {
+			if y == x {
+				return
+			}
+		}
+		*s = append(*s, x)
+	}
+	res := &Lemma1Result{Nonblocking: true, Links: make(map[topology.LinkID]*LinkSDView)}
+	for s := 0; s < hosts; s++ {
+		for d := 0; d < hosts; d++ {
+			if s == d {
+				continue
+			}
+			p, err := r.PathFor(s, d)
+			if err != nil {
+				return nil, fmt.Errorf("analysis: routing pair %d->%d: %w", s, d, err)
+			}
+			for _, l := range p.Links {
+				v := res.Links[l]
+				if v == nil {
+					v = &LinkSDView{Link: l}
+					res.Links[l] = v
+				}
+				v.Pairs = append(v.Pairs, permutation.Pair{Src: s, Dst: d})
+				insert(&v.Sources, s)
+				insert(&v.Dests, d)
+			}
+		}
+	}
+	for _, v := range res.Links {
+		if !v.OneSourceOrOneDest() && (res.Violation == nil || v.Link < res.Violation.Link) {
+			res.Nonblocking = false
+			res.Violation = v
+		}
+	}
+	return res, nil
+}
+
+func TestCheckLemma1AllPairsMatchesReference(t *testing.T) {
+	f := topology.NewFoldedClos(2, 4, 3)
+	paper, err := routing.NewPaperDeterministic(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wide := topology.NewFoldedClos(3, 4, 5)
+	broke := &routing.FtreeSinglePath{F: f, RouterName: "broke", TopChoice: func(s, d int) int {
+		if s >= 4 {
+			return 99
+		}
+		return 0
+	}}
+	for _, c := range []struct {
+		r     routing.PairRouter
+		hosts int
+	}{
+		{paper, f.Ports()},
+		{routing.NewDestMod(f), f.Ports()},
+		{routing.NewDestMod(wide), wide.Ports()},
+		{routing.NewRandomFixed(wide, 5), wide.Ports()},
+		{routing.NewDestMod(wide), 7}, // a host prefix of the fabric
+		{broke, f.Ports()},
+	} {
+		want, wantErr := lemma1Reference(c.r, c.hosts)
+		got, err := CheckLemma1AllPairs(c.r, c.hosts)
+		if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
+			t.Fatalf("%s hosts=%d: error %v, want %v", c.r.Name(), c.hosts, err, wantErr)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s hosts=%d: result differs from the reference", c.r.Name(), c.hosts)
+		}
+	}
+}
+
+// TestBlockingProbabilityAllocsIndependentOfTrials pins the pooled-trial
+// property: every trial refills one pattern, so the allocation count is a
+// per-call constant.
+func TestBlockingProbabilityAllocsIndependentOfTrials(t *testing.T) {
+	f := topology.NewFoldedClos(2, 4, 3)
+	r, err := routing.NewPaperDeterministic(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	measure := func(trials int) float64 {
+		return testing.AllocsPerRun(10, func() {
+			if _, _, err := BlockingProbability(r, f.Ports(), trials, 7); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if small, large := measure(8), measure(64); large > small {
+		t.Fatalf("BlockingProbability allocations scale with trials: %v allocs at 8 trials, %v at 64", small, large)
 	}
 }
 

@@ -160,12 +160,26 @@ func CheckLemma1AllPairs(r routing.PairRouter, hosts int) (*Lemma1Result, error)
 					res.Links[l] = v
 				}
 				v.Pairs = append(v.Pairs, permutation.Pair{Src: s, Dst: d})
-				insertDistinct(&v.Sources, s)
-				insertDistinct(&v.Dests, d)
 			}
 		}
 	}
+	// Distinct endpoints in first-appearance order, O(1) per (pair, link)
+	// incidence. Pairs are in (source, destination) order, so a link's
+	// sources arrive grouped; a per-host stamp numbers the last link that
+	// listed each destination.
+	dstSeen := make([]int, hosts)
+	stamp := 0
 	for _, v := range res.Links {
+		stamp++
+		for _, pr := range v.Pairs {
+			if n := len(v.Sources); n == 0 || v.Sources[n-1] != pr.Src {
+				v.Sources = append(v.Sources, pr.Src)
+			}
+			if dstSeen[pr.Dst] != stamp {
+				dstSeen[pr.Dst] = stamp
+				v.Dests = append(v.Dests, pr.Dst)
+			}
+		}
 		if !v.OneSourceOrOneDest() {
 			res.Nonblocking = false
 			if res.Violation == nil || v.Link < res.Violation.Link {
@@ -174,15 +188,6 @@ func CheckLemma1AllPairs(r routing.PairRouter, hosts int) (*Lemma1Result, error)
 		}
 	}
 	return res, nil
-}
-
-func insertDistinct(s *[]int, x int) {
-	for _, y := range *s {
-		if y == x {
-			return
-		}
-	}
-	*s = append(*s, x)
 }
 
 // BlockingWitness extracts from a Lemma-1 violation a two-pair permutation
@@ -237,37 +242,24 @@ func SweepRandomCtx(ctx context.Context, r routing.Router, hosts, trials int, se
 	if err := ctx.Err(); err != nil {
 		return res, err
 	}
-	done := ctx.Done()
-	cancelled := false
 	rng := rand.New(rand.NewSource(seed))
 	c := NewChecker(nil)
+	t := newTally(ctx, res, SweepSpec{})
 	test := func(p *permutation.Permutation) bool {
-		if done != nil {
-			select {
-			case <-done:
-				cancelled = true
-				return false
-			default:
-			}
+		// One pattern routes every pair, so ctx is polled on every
+		// pattern rather than on the exhaustive engines' stride.
+		if t.poll.fired() {
+			t.cancelled = true
+			return false
 		}
 		if err := c.AnalyzePattern(r, p); err != nil {
 			res.RouteErr = fmt.Errorf("analysis: pattern %s: %w", p, err)
 			return false
 		}
-		res.Tested++
-		if c.MaxLoad() > res.MaxLinkLoad {
-			res.MaxLinkLoad = c.MaxLoad()
-		}
-		if c.HasContention() {
-			res.Blocked++
-			if res.FirstBlocked == nil {
-				res.FirstBlocked = p.Clone()
-			}
-		}
-		return true
+		return t.record(1, c.MaxLoad(), c.HasContention()) || t.slow(p, c.HasContention())
 	}
 	finish := func() (*SweepResult, error) {
-		if cancelled {
+		if t.cancelled {
 			return res, ctx.Err()
 		}
 		return res, nil
@@ -319,8 +311,11 @@ func BlockingProbability(r routing.Router, hosts, trials int, seed int64) (block
 	rng := rand.New(rand.NewSource(seed))
 	c := NewChecker(nil)
 	blocked, loadSum := 0, 0
+	// One pattern serves every trial, refilled in place; RandomInto
+	// consumes rng exactly as permutation.Random would.
+	p := permutation.New(hosts)
 	for i := 0; i < trials; i++ {
-		p := permutation.Random(rng, hosts)
+		permutation.RandomInto(rng, p)
 		if rerr := c.AnalyzePattern(r, p); rerr != nil {
 			return 0, 0, rerr
 		}

@@ -11,7 +11,7 @@ func TestMaxRootPairsModesMatchesNaive(t *testing.T) {
 	// Cross-validate the canonical-mode search against the direct
 	// branch-and-bound over pair subsets on every tractable instance.
 	cases := []struct{ n, r int }{
-		{1, 2}, {1, 3}, {1, 4}, {2, 2}, {2, 3}, {3, 2},
+		{1, 2}, {1, 3}, {1, 4}, {2, 2}, {2, 3}, {3, 2}, {2, 1},
 	}
 	for _, c := range cases {
 		modes := MaxRootPairsModes(c.n, c.r)
@@ -20,6 +20,15 @@ func TestMaxRootPairsModesMatchesNaive(t *testing.T) {
 			t.Errorf("n=%d r=%d: modes=%d naive=%d", c.n, c.r, modes, naive)
 		}
 	}
+	if MaxRootPairsModes(2, 1) != 0 {
+		t.Error("r=1 has no cross-switch pairs, want 0")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("invalid instance n=0 should panic")
+		}
+	}()
+	MaxRootPairsModes(0, 2)
 }
 
 func TestMaxRootPairsAgainstLemma2Cap(t *testing.T) {

@@ -2,7 +2,6 @@ package analysis
 
 import (
 	"fmt"
-	"reflect"
 	"testing"
 
 	"repro/internal/permutation"
@@ -105,136 +104,6 @@ func TestSweepExhaustiveParallelErrorPathDeterministic(t *testing.T) {
 			}
 		}
 	}
-}
-
-func TestCheckLemma1AllPairsParallelMatchesSequential(t *testing.T) {
-	f := topology.NewFoldedClos(2, 4, 3)
-	good, err := routing.NewPaperDeterministic(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bad := routing.NewDestMod(f)
-	for _, r := range []routing.PairRouter{good, bad} {
-		seq, err := CheckLemma1AllPairs(r, f.Ports())
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, workers := range []int{1, 2, 3, 0} {
-			par, err := CheckLemma1AllPairsParallel(r, f.Ports(), workers)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if par.Nonblocking != seq.Nonblocking {
-				t.Fatalf("%s workers=%d: Nonblocking %v vs %v", r.Name(), workers, par.Nonblocking, seq.Nonblocking)
-			}
-			if !reflect.DeepEqual(par.Links, seq.Links) {
-				t.Fatalf("%s workers=%d: Links differ from sequential", r.Name(), workers)
-			}
-			if !reflect.DeepEqual(par.Violation, seq.Violation) {
-				t.Fatalf("%s workers=%d: Violation %+v vs %+v", r.Name(), workers, par.Violation, seq.Violation)
-			}
-		}
-	}
-	// Error path: the parallel check reports the sequential-order first
-	// failing pair regardless of worker count.
-	broke := &routing.FtreeSinglePath{F: f, RouterName: "broke", TopChoice: func(s, d int) int {
-		if s >= 4 {
-			return 99
-		}
-		return 0
-	}}
-	_, errSeq := CheckLemma1AllPairs(broke, f.Ports())
-	if errSeq == nil {
-		t.Fatal("expected sequential error")
-	}
-	for _, workers := range []int{2, 5, 0} {
-		_, errPar := CheckLemma1AllPairsParallel(broke, f.Ports(), workers)
-		if errPar == nil || errPar.Error() != errSeq.Error() {
-			t.Fatalf("workers=%d: error %v, want %v", workers, errPar, errSeq)
-		}
-	}
-}
-
-func TestWorstCaseLinkLoadParallelMatchesSequential(t *testing.T) {
-	f := topology.NewFoldedClos(2, 4, 3)
-	for _, r := range []routing.PairRouter{routing.NewDestMod(f)} {
-		seq, err := WorstCaseLinkLoad(r, f.Ports())
-		if err != nil {
-			t.Fatal(err)
-		}
-		par, err := WorstCaseLinkLoadParallel(r, f.Ports(), 3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(par, seq) {
-			t.Fatalf("parallel %+v vs sequential %+v", par, seq)
-		}
-	}
-}
-
-func TestBlockingProbabilityParallel(t *testing.T) {
-	f := topology.NewFoldedClos(2, 4, 5)
-	good, err := routing.NewPaperDeterministic(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	frac, load, err := BlockingProbabilityParallel(good, f.Ports(), 40, 4, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if frac != 0 || load != 1 {
-		t.Fatalf("nonblocking: frac=%v load=%v", frac, load)
-	}
-	bad := routing.NewDestMod(f)
-	frac, _, err = BlockingProbabilityParallel(bad, f.Ports(), 40, 4, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if frac <= 0 {
-		t.Fatal("dest-mod should block sometimes")
-	}
-	// workers > trials and workers <= 1 paths.
-	if _, _, err := BlockingProbabilityParallel(good, f.Ports(), 2, 8, 1); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := BlockingProbabilityParallel(good, f.Ports(), 5, 1, 1); err != nil {
-		t.Fatal(err)
-	}
-	if f2, l2, err := BlockingProbabilityParallel(good, f.Ports(), 0, 0, 1); err != nil || f2 != 0 || l2 != 0 {
-		t.Fatal("zero trials should return zeros")
-	}
-	// Errors propagate.
-	tiny := topology.NewFoldedClos(2, 1, 3)
-	ad, err := routing.NewNonblockingAdaptive(tiny)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := BlockingProbabilityParallel(ad, tiny.Ports(), 8, 4, 1); err == nil {
-		t.Fatal("expected routing error")
-	}
-}
-
-func TestMaxRootPairsModesParallelMatchesSequential(t *testing.T) {
-	for _, c := range []struct{ n, r int }{{1, 3}, {2, 3}, {2, 5}, {3, 4}} {
-		seq := MaxRootPairsModes(c.n, c.r)
-		for _, workers := range []int{1, 3, 0} {
-			par := MaxRootPairsModesParallel(c.n, c.r, workers)
-			if par != seq {
-				t.Fatalf("n=%d r=%d workers=%d: parallel %d vs sequential %d", c.n, c.r, workers, par, seq)
-			}
-		}
-	}
-	if MaxRootPairsModesParallel(2, 1, 2) != 0 {
-		t.Fatal("r=1 should be 0")
-	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("invalid instance should panic")
-			}
-		}()
-		MaxRootPairsModesParallel(0, 2, 2)
-	}()
 }
 
 func TestEnumerateFullPrefixShardsPartition(t *testing.T) {

@@ -45,24 +45,13 @@ func WorstCaseLinkLoad(r routing.PairRouter, hosts int) (*WorstLoadResult, error
 	return worstLoadFrom(res), nil
 }
 
-// WorstCaseLinkLoadParallel is WorstCaseLinkLoad with the all-pairs
-// routing sharded over `workers` goroutines (CheckLemma1AllPairsParallel);
-// the result is identical to the sequential analysis.
-func WorstCaseLinkLoadParallel(r routing.PairRouter, hosts, workers int) (*WorstLoadResult, error) {
-	res, err := CheckLemma1AllPairsParallel(r, hosts, workers)
-	if err != nil {
-		return nil, err
-	}
-	return worstLoadFrom(res), nil
-}
-
 func worstLoadFrom(res *Lemma1Result) *WorstLoadResult {
 	out := &WorstLoadResult{PerLink: make(map[topology.LinkID]int, len(res.Links)), Link: topology.NoLink}
 	for id, view := range res.Links {
-		load := maxBipartiteMatching(view)
+		load := len(maxMatching(view))
 		out.PerLink[id] = load
-		// Ties break toward the lowest link ID so sequential and parallel
-		// analyses report the same attaining link.
+		// Ties break toward the lowest link ID, so the attaining link does
+		// not depend on map iteration order.
 		if load > out.MaxLoad || (load == out.MaxLoad && out.Link != topology.NoLink && id < out.Link) {
 			out.MaxLoad = load
 			out.Link = id
@@ -71,10 +60,11 @@ func worstLoadFrom(res *Lemma1Result) *WorstLoadResult {
 	return out
 }
 
-// maxBipartiteMatching computes the maximum matching of a link's SD pairs
-// (sources left, destinations right) by augmenting paths — Kuhn's
-// algorithm, adequate for per-link pair sets.
-func maxBipartiteMatching(view *LinkSDView) int {
+// maxMatching computes a maximum matching of a link's SD pairs (sources
+// left, destinations right) by augmenting paths — Kuhn's algorithm,
+// adequate for per-link pair sets — and returns the matched pairs, which
+// are source- and destination-distinct, in order of view.Dests.
+func maxMatching(view *LinkSDView) []permutation.Pair {
 	srcIdx := make(map[int]int, len(view.Sources))
 	for i, s := range view.Sources {
 		srcIdx[s] = i
@@ -106,14 +96,16 @@ func maxBipartiteMatching(view *LinkSDView) int {
 		}
 		return false
 	}
-	count := 0
 	for u := range adj {
-		seen := make([]bool, len(view.Dests))
-		if try(u, seen) {
-			count++
+		try(u, make([]bool, len(view.Dests)))
+	}
+	var matched []permutation.Pair
+	for v, u := range matchDst {
+		if u != -1 {
+			matched = append(matched, permutation.Pair{Src: view.Sources[u], Dst: view.Dests[v]})
 		}
 	}
-	return count
+	return matched
 }
 
 // WorstCasePermutationFor constructs a permutation realizing the
@@ -129,48 +121,9 @@ func WorstCasePermutationFor(r routing.PairRouter, hosts int, link topology.Link
 	if !ok {
 		return nil, fmt.Errorf("analysis: link %d carries no SD pairs", link)
 	}
-	// Re-run the matching, keeping the matched pairs.
-	srcIdx := make(map[int]int, len(view.Sources))
-	for i, s := range view.Sources {
-		srcIdx[s] = i
-	}
-	dstIdx := make(map[int]int, len(view.Dests))
-	for i, d := range view.Dests {
-		dstIdx[d] = i
-	}
-	adj := make([][]int, len(view.Sources))
-	for _, pr := range view.Pairs {
-		si := srcIdx[pr.Src]
-		adj[si] = append(adj[si], dstIdx[pr.Dst])
-	}
-	matchDst := make([]int, len(view.Dests))
-	for i := range matchDst {
-		matchDst[i] = -1
-	}
-	var try func(u int, seen []bool) bool
-	try = func(u int, seen []bool) bool {
-		for _, v := range adj[u] {
-			if seen[v] {
-				continue
-			}
-			seen[v] = true
-			if matchDst[v] == -1 || try(matchDst[v], seen) {
-				matchDst[v] = u
-				return true
-			}
-		}
-		return false
-	}
-	for u := range adj {
-		seen := make([]bool, len(view.Dests))
-		try(u, seen)
-	}
 	p := permutation.New(hosts)
-	for v, u := range matchDst {
-		if u == -1 {
-			continue
-		}
-		if err := p.Add(view.Sources[u], view.Dests[v]); err != nil {
+	for _, pr := range maxMatching(view) {
+		if err := p.Add(pr.Src, pr.Dst); err != nil {
 			return nil, fmt.Errorf("analysis: matching not permutation-compatible: %w", err)
 		}
 	}

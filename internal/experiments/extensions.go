@@ -277,7 +277,7 @@ func LoadSweepExperiment(n, r int, rates []float64, seed int64) (*LoadSweepResul
 		return nil, err
 	}
 	for _, rt := range []routing.PairRouter{paper, routing.NewDestMod(f)} {
-		points, err := sim.LoadSweep(f.Net, pairs, sim.PairPathsFunc(rt), rates, base)
+		points, err := sim.LoadSweep(f.Net, pairs, sim.PairPathsFunc(rt), rates, 1, base)
 		if err != nil {
 			return nil, err
 		}

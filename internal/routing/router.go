@@ -16,8 +16,8 @@
 //
 // Every router in this package is safe for concurrent Route/PathFor calls:
 // routing state is fixed at construction and per-call scratch is local.
-// The parallel simulation drivers (sim.RunTrialsParallel and friends) and
-// the parallel verification sweeps rely on this contract.
+// The worker pools of sim.RunTrials and its siblings and the sharded
+// verification sweeps rely on this contract.
 package routing
 
 import (

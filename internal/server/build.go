@@ -398,7 +398,7 @@ func runSim(ctx context.Context, q *api.Request) (any, error) {
 			Arbiter:         cfg.Arbiter,
 			Collector:       sim.NewMetricsCollector(),
 		}
-		points, err := sim.LoadSweepParallel(t.net, pairs, sim.PairPathsFunc(pr), openLoopRates, base)
+		points, err := sim.LoadSweep(t.net, pairs, sim.PairPathsFunc(pr), openLoopRates, q.Workers, base)
 		if err != nil {
 			return nil, err
 		}

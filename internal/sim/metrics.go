@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sync"
 
 	"repro/internal/topology"
 )
@@ -18,10 +17,9 @@ import (
 // Collector attached to a run records exactly the quantities the per-link
 // condition speaks about: busy cycles and queue occupancy per link, the
 // hop-latency breakdown per pipeline stage, and the full end-to-end
-// latency distribution. The default MetricsCollector is pooled and
-// allocation-free in the steady state; with no collector attached the
-// engines skip every hook behind one nil check, so metrics cost nothing
-// when off.
+// latency distribution. The default MetricsCollector is allocation-free
+// in the steady state; with no collector attached the engines skip every
+// hook behind one nil check, so metrics cost nothing when off.
 
 // Pipeline stages of a folded-Clos traversal. The engines classify each
 // hop by its position on the packet's path (hopStage); the adaptive engine
@@ -279,8 +277,8 @@ type StageStats struct {
 
 // Metrics is the observability payload of one simulation run (or a merge
 // of several runs). All fields are plain data: merging two Metrics is
-// element-wise (Merge) and deterministic, so parallel drivers reproduce
-// sequential aggregates byte-for-byte.
+// element-wise (Merge) and deterministic, so RunTrials and LoadSweep
+// reproduce the same aggregates byte-for-byte at every worker count.
 type Metrics struct {
 	// Wall is the observed wall-clock extent in cycles (the last event
 	// time); utilization and mean queue depths are normalized by it.
@@ -367,8 +365,8 @@ func (m *Metrics) Merge(o *Metrics) {
 
 // AggregateMetrics merges the per-trial metrics of a result slice in trial
 // order (results without metrics are skipped); nil when none carry any.
-// Because the parallel drivers attach trial metrics identical to the
-// sequential drivers', aggregating either slice yields identical bytes.
+// RunTrials attaches the same trial metrics at every worker count, so the
+// aggregate is the same too.
 func AggregateMetrics(results []*Result) *Metrics {
 	var agg *Metrics
 	for _, r := range results {
@@ -389,7 +387,7 @@ func AggregateMetrics(results []*Result) *Metrics {
 // run without perturbing it. The default implementation is
 // MetricsCollector; custom implementations plug into the single-run
 // engines (Run, RunFtreeAdaptive, OpenLoop), while the trial/sweep drivers
-// always substitute pooled default collectors (see RunTrials).
+// give every run its own default collector (see RunTrials).
 type Collector interface {
 	// BeginRun resets the collector for a run over nLinks links with
 	// packetFlits-cycle link service times.
@@ -413,11 +411,11 @@ type Collector interface {
 	EndRun(wall int64)
 }
 
-// MetricsCollector is the default Collector: a reusable, pooled recorder
+// MetricsCollector is the default Collector: a reusable recorder
 // whose scratch (per-link depth tracking, the histogram) is allocated once
 // and recycled by BeginRun, so attaching it to repeated runs adds zero
-// allocations in the steady state. It is not safe for concurrent use; the
-// parallel drivers draw one per worker run from an internal pool.
+// allocations in the steady state. It is not safe for concurrent use;
+// RunTrials and LoadSweep create one per run.
 type MetricsCollector struct {
 	m     Metrics
 	L     int64
@@ -546,13 +544,6 @@ func (c *MetricsCollector) EndRun(wall int64) {
 		c.advanceQueue(topology.LinkID(l), wall)
 	}
 }
-
-// collectorPool recycles MetricsCollectors across driver runs so that
-// trial loops and parallel workers allocate collectors only on first use.
-var collectorPool = sync.Pool{New: func() any { return &MetricsCollector{} }}
-
-func acquireCollector() *MetricsCollector  { return collectorPool.Get().(*MetricsCollector) }
-func releaseCollector(c *MetricsCollector) { collectorPool.Put(c) }
 
 // metricsOf returns the live metrics of the run's collector when it is the
 // default implementation; custom collectors own their data, so results

@@ -386,19 +386,20 @@ func TestMetricsAdaptiveCounters(t *testing.T) {
 }
 
 func TestMetricsParallelIdenticalToSequential(t *testing.T) {
-	// The parallel drivers must attach byte-identical metrics (histograms,
-	// link stats, stage breakdowns) to the sequential drivers'.
+	// RunTrials and LoadSweep must attach byte-identical metrics
+	// (histograms, link stats, stage breakdowns) on a worker pool and
+	// inline.
 	f := topology.NewFoldedClos(2, 4, 5)
 	r, err := routing.NewPaperDeterministic(f)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := Config{PacketFlits: 2, PacketsPerPair: 4, Collector: NewMetricsCollector()}
-	seq, err := RunTrials(f.Net, r, f.Ports(), 6, 11, cfg)
+	seq, err := RunTrials(f.Net, r, f.Ports(), 6, 1, 11, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := RunTrialsParallel(f.Net, r, f.Ports(), 6, 11, 4, cfg)
+	par, err := RunTrials(f.Net, r, f.Ports(), 6, 4, 11, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -416,11 +417,11 @@ func TestMetricsParallelIdenticalToSequential(t *testing.T) {
 		Collector: NewMetricsCollector(),
 	}
 	rates := []float64{0.2, 0.5, 0.9}
-	seqPts, err := LoadSweep(f.Net, pairs, PairPathsFunc(r), rates, base)
+	seqPts, err := LoadSweep(f.Net, pairs, PairPathsFunc(r), rates, 1, base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parPts, err := LoadSweepParallel(f.Net, pairs, PairPathsFunc(r), rates, base)
+	parPts, err := LoadSweep(f.Net, pairs, PairPathsFunc(r), rates, 0, base)
 	if err != nil {
 		t.Fatal(err)
 	}

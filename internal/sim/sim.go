@@ -18,7 +18,6 @@ package sim
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 
 	"repro/internal/permutation"
 	"repro/internal/routing"
@@ -77,8 +76,8 @@ type Config struct {
 	// events (see Collector); nil collects nothing and costs nothing.
 	// The single-run engines call a custom implementation directly; the
 	// trial/sweep drivers treat any non-nil value as "metrics on" and
-	// substitute pooled MetricsCollectors so that workers never share
-	// collector state.
+	// give every run its own MetricsCollector, so that workers never
+	// share collector state.
 	Collector Collector
 }
 
@@ -297,43 +296,4 @@ type ThroughputSummary struct {
 	MeanRelThroughput float64 `json:"mean_rel_throughput"`
 	// MedianSlowdown is the median slowdown across patterns.
 	MedianSlowdown float64 `json:"median_slowdown"`
-}
-
-// CompareToCrossbar simulates `trials` random permutations (seeded) under
-// the router and reports slowdown statistics against the crossbar
-// reference — the experiment behind the paper's motivation ([5], [7]) and
-// its claim that nonblocking folded-Clos networks match crossbars.
-func CompareToCrossbar(net *topology.Network, r routing.Router, hosts, trials int, seed int64, cfg Config) (*ThroughputSummary, error) {
-	// The summary carries no metrics; drop any collector so the network and
-	// crossbar-reference runs never share or clobber collector state.
-	cfg.Collector = nil
-	rng := rand.New(rand.NewSource(seed))
-	sum := &ThroughputSummary{}
-	var slowdowns []float64
-	for i := 0; i < trials; i++ {
-		p := permutation.Random(rng, hosts)
-		_, res, err := RunPermutation(net, r, p, cfg)
-		if err != nil {
-			return nil, err
-		}
-		ref, err := CrossbarReference(hosts, p, cfg)
-		if err != nil {
-			return nil, err
-		}
-		s := res.Slowdown(ref)
-		slowdowns = append(slowdowns, s)
-		sum.MeanSlowdown += s
-		sum.MeanRelThroughput += 1 / s
-		if s > sum.MaxSlowdown {
-			sum.MaxSlowdown = s
-		}
-		sum.Patterns++
-	}
-	if sum.Patterns > 0 {
-		sum.MeanSlowdown /= float64(sum.Patterns)
-		sum.MeanRelThroughput /= float64(sum.Patterns)
-		sort.Float64s(slowdowns)
-		sum.MedianSlowdown = slowdowns[len(slowdowns)/2]
-	}
-	return sum, nil
 }
